@@ -17,8 +17,8 @@ import numpy as np
 from . import ball as ballmod
 from . import oracle as oraclemod
 from .config import BadSpec, RunConfig, ball_trajectory, load_config, push_trajectory
-from .core import CageCircle, NoAction, PushAngle, Vec2, action_to_json
-from .push import PushProblem, plan_push, pusher_pose
+from .core import CageCircle, PushAngle, Vec2
+from .push import PushProblem, initial_set, plan_push, push_step, pusher_pose
 from .render import render_prob_frame, render_push_frame
 from .trajectories import as_vec2_list
 
@@ -59,14 +59,20 @@ def _push_problem(cfg: RunConfig) -> tuple[PushProblem, Vec2]:
     return problem, start
 
 
+def _print_warnings(log) -> None:
+    for message in log.warnings:
+        print(f"warning: {message}", file=sys.stderr)
+
+
 def run_push(cfg: RunConfig) -> int:
     problem, start = _push_problem(cfg)
     plan, result, log = plan_push(problem, start)
+    _print_warnings(log)
     os.makedirs(cfg.out_dir, exist_ok=True)
     _write_plan(os.path.join(cfg.out_dir, "plan.json"), plan, "push")
     log.write(os.path.join(cfg.out_dir, "runlog.jsonl"))
     if cfg.render:
-        _render_push(cfg, problem, start, plan)
+        _write_frames(cfg, _push_frames(problem, start, plan))
     if not result.success:
         print(f"planning failed at step {result.failure_step}: {result.failure_reason}")
         return 2
@@ -89,26 +95,35 @@ def run_push(cfg: RunConfig) -> int:
     return 0 if worst <= problem.cage_size else 3
 
 
-def _render_push(cfg: RunConfig, problem: PushProblem, start: Vec2, plan) -> None:
-    from .push import propagate_pss
-    from .core import PSSGrid
-
-    n = problem.grid_size
-    pss = PSSGrid.from_points(
-        start.as_array()[None, :], problem.resolution, problem.trajectory[0], (n, n)
-    )
+def _write_frames(cfg: RunConfig, frames) -> None:
     frame_dir = os.path.join(cfg.out_dir, "frames")
     os.makedirs(frame_dir, exist_ok=True)
-    for t, action in enumerate(plan):
-        target = problem.trajectory[t + 1]
-        theta = action.theta if isinstance(action, PushAngle) else None
-        pss = propagate_pss(pss, theta, target, problem)
-        pose = None
-        if theta is not None:
-            pose = pusher_pose(target, problem.R, theta, problem.pusher_length / 2.0)
-        cage = CageCircle(target, problem.cage_size)
-        img = render_push_frame(pss, cage, pose, problem.object_radius)
+    for t, img in enumerate(frames):
         img.write(os.path.join(frame_dir, f"frame_{t:04d}.pgm"))
+
+
+def _push_frames(problem: PushProblem, start: Vec2, plan):
+    pss = initial_set(problem, start)
+    for t, action in enumerate(plan):
+        pss, _ = push_step(problem, pss, action, t)
+        target = problem.trajectory[t + 1]
+        pose = None
+        if isinstance(action, PushAngle):
+            pose = pusher_pose(target, problem.R, action.theta, problem.pusher_length / 2.0)
+        cage = CageCircle(target, problem.cage_size)
+        yield render_push_frame(pss, cage, pose, problem.object_radius)
+
+
+def _ball_frames(setup: ballmod.TaskSetup, traj, plan):
+    """Replay the plan under the planner's plate accelerations."""
+    accels = ballmod.trajectory_accels(traj, setup.params.dt)
+    grid, tilt = setup.grid, setup.initial_tilt
+    for t, action in enumerate(plan):
+        grid, tilt, _ = ballmod.ball_step(
+            grid, tilt, action.dtheta, accels[t], setup.ball, setup.unc,
+            setup.model, setup.params.dt,
+        )
+        yield render_prob_frame(grid.values)
 
 
 def run_ball(cfg: RunConfig) -> int:
@@ -141,17 +156,12 @@ def run_ball(cfg: RunConfig) -> int:
         setup.grid, traj, setup.ball, setup.unc, setup.model, setup.params,
         setup.initial_tilt,
     )
+    _print_warnings(log)
     os.makedirs(cfg.out_dir, exist_ok=True)
     _write_plan(os.path.join(cfg.out_dir, "plan.json"), plan, "ball")
     log.write(os.path.join(cfg.out_dir, "runlog.jsonl"))
     if cfg.render:
-        frame_dir = os.path.join(cfg.out_dir, "frames")
-        os.makedirs(frame_dir, exist_ok=True)
-        grid = setup.grid
-        for t, action in enumerate(plan):
-            render_prob_frame(grid.values).write(
-                os.path.join(frame_dir, f"frame_{t:04d}.pgm")
-            )
+        _write_frames(cfg, _ball_frames(setup, traj, plan))
     if not result.success:
         print(f"planning failed at step {result.failure_step}: {result.failure_reason}")
         return 2

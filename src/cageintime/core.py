@@ -1,8 +1,8 @@
 """Shared state-space data model and the generic cage verification driver.
 
-The driver is parameterized by task-specific callbacks (propagation,
-containment, action feasibility) so the same loop serves both the
-quasi-static pushing task and the dynamic ball-on-plate task.
+The driver is parameterized by a task's step kernel and its action
+feasibility check, so the same loop serves both the quasi-static pushing
+task and the dynamic ball-on-plate task.
 """
 
 from __future__ import annotations
@@ -233,25 +233,24 @@ def action_to_json(action: Action) -> Optional[dict]:
 def verify_caging_in_time(
     initial_pss,
     actions: ActionSequence,
-    cage_at: Callable[[int], object],
-    propagate: Callable[[object, Action, int], object],
-    contains: Callable[[object, object], bool],
+    step: Callable[[object, Action, int], tuple[object, dict]],
     feasible: Callable[[Action, int], bool],
 ) -> VerificationResult:
     """Verify that an open-loop action sequence keeps the state set caged.
 
-    At each step t the action must be feasible and the propagated state set
-    must be contained in ``cage_at(t + 1)``. Returns the first violation, if
-    any. Inputs are never mutated.
+    At each step t the action must be feasible, and the task's step kernel
+    ``step(state, action, t)`` returns the propagated state and its runlog
+    record, whose ``contained`` flag says whether the state lies in the cage
+    at t + 1. Returns the first violation, if any. Inputs are never mutated.
     """
     if getattr(initial_pss, "is_empty", False):
         raise EmptyInitialPSS("initial PSS has no support")
-    pss = initial_pss
+    state = initial_pss
     for t, action in enumerate(actions):
         if not feasible(action, t):
             return VerificationResult(False, t, FailureReason.InfeasibleAction)
-        pss = propagate(pss, action, t)
-        if not contains(pss, cage_at(t + 1)):
+        state, record = step(state, action, t)
+        if not record["contained"]:
             return VerificationResult(False, t, FailureReason.EscapedCage)
     return VerificationResult(True)
 

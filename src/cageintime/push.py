@@ -19,6 +19,7 @@ import numpy as np
 from scipy import ndimage
 
 from .core import (
+    Action,
     ActionSequence,
     CageCircle,
     EmptyResult,
@@ -402,6 +403,35 @@ def trigger_cage(problem: PushProblem, center: Vec2) -> CageCircle:
     return CageCircle(center, radius)
 
 
+def initial_set(problem: PushProblem, initial_position: Vec2) -> PSSGrid:
+    """The one-cell PSS at the start position, framed on the first waypoint."""
+    n = problem.grid_size
+    return PSSGrid.from_points(
+        initial_position.as_array()[None, :], problem.resolution,
+        problem.trajectory[0], (n, n),
+    )
+
+
+def push_step(
+    problem: PushProblem, pss: PSSGrid, action: Action, t: int
+) -> tuple[PSSGrid, dict]:
+    """The pushing step kernel of the planner, the verifier replay and the
+    renderer: propagate the PSS under ``action`` to the cage at waypoint
+    t + 1, check it against the planning cage, and return the runlog record.
+    """
+    target = problem.trajectory[t + 1]
+    theta = action.theta if isinstance(action, PushAngle) else None
+    pss = propagate_pss(pss, theta, target, problem)
+    contained = contains_geometric(pss, planning_cage(problem, target))
+    return pss, {
+        "t": t,
+        "action": action_to_json(action),
+        "contained": bool(contained),
+        "pss_cells": pss.count,
+        "cage_center": [target.x, target.y],
+    }
+
+
 def plan_push(
     problem: PushProblem,
     initial_position: Vec2,
@@ -414,38 +444,23 @@ def plan_push(
         raise ValueError("trajectory must have at least one waypoint")
     if check_spacing:
         problem.check_spacing()
-    w0 = problem.trajectory[0]
-    if (initial_position - w0).norm() > problem.cage_size:
+    if (initial_position - problem.trajectory[0]).norm() > problem.cage_size:
         raise ValueError("initial position lies outside the first cage")
-    n = problem.grid_size
-    pss = PSSGrid.from_points(
-        initial_position.as_array()[None, :], problem.resolution, w0, (n, n)
-    )
+    pss = initial_set(problem, initial_position)
     log = RunLog()
     steps: list = []
     prev_theta: Optional[float] = None
     result = VerificationResult(True)
     for t in range(len(problem.trajectory) - 1):
-        target = problem.trajectory[t + 1]
-        cage = planning_cage(problem, target)
-        push = find_push(pss, problem, trigger_cage(problem, target), prev_theta)
-        theta = None if push is None else push.theta
-        pss = propagate_pss(pss, theta, target, problem)
-        contained = contains_geometric(pss, cage)
+        trigger = trigger_cage(problem, problem.trajectory[t + 1])
+        push = find_push(pss, problem, trigger, prev_theta)
         action = NoAction() if push is None else push
         steps.append(action)
-        log.add(
-            {
-                "t": t,
-                "action": action_to_json(action),
-                "contained": bool(contained),
-                "pss_cells": pss.count,
-                "cage_center": [target.x, target.y],
-            }
-        )
+        pss, record = push_step(problem, pss, action, t)
+        log.add(record)
         if push is not None:
             prev_theta = push.theta
-        if not contained:
+        if not record["contained"]:
             result = VerificationResult(False, t, FailureReason.EscapedCage)
             break
     return ActionSequence.of(steps), result, log
@@ -457,25 +472,9 @@ def verify_push_plan(
     actions: ActionSequence,
 ) -> VerificationResult:
     """Independent replay of a plan through the generic verification driver."""
-    n = problem.grid_size
-    w0 = problem.trajectory[0]
-    pss0 = PSSGrid.from_points(
-        initial_position.as_array()[None, :], problem.resolution, w0, (n, n)
-    )
-
-    def cage_at(t: int) -> CageCircle:
-        idx = min(t, len(problem.trajectory) - 1)
-        return planning_cage(problem, problem.trajectory[idx])
-
-    def propagate(pss, action, t):
-        theta = action.theta if isinstance(action, PushAngle) else None
-        return propagate_pss(pss, theta, problem.trajectory[t + 1], problem)
-
     return verify_caging_in_time(
-        pss0,
+        initial_set(problem, initial_position),
         actions,
-        cage_at,
-        propagate,
-        contains_geometric,
+        lambda pss, action, t: push_step(problem, pss, action, t),
         feasibility_quasi_static,
     )

@@ -375,6 +375,53 @@ class TestDynamicControl:
             assert key in rec
 
 
+def _planned(setup, traj):
+    plan, result, log = B.dynamic_control(
+        setup.grid, traj, setup.ball, setup.unc, setup.model, setup.params,
+        setup.initial_tilt)
+    return setup, traj, plan, result, log
+
+
+@pytest.fixture(scope="module")
+def catch_run():
+    setup = B.catching_setup(0.8, 0.05)
+    return _planned(setup, setup.trajectory(3.0))
+
+
+class TestStepKernel:
+    @pytest.mark.parametrize("task", ["balance", "catch"])
+    def test_kernel_replay_reproduces_runlog(self, task, catch_run):
+        if task == "balance":
+            setup, traj, plan, result, log = _planned(B.balancing_setup(), np.zeros((51, 2)))
+            assert len(plan) == 50
+        else:
+            setup, traj, plan, result, log = catch_run
+            assert any(a.dtheta != (0.0,) for a in plan)
+        assert result.success
+        accels = B.trajectory_accels(traj, setup.params.dt)
+        grid, tilt = setup.grid, setup.initial_tilt
+        for t, (action, rec) in enumerate(zip(plan, log.records)):
+            # the planner's schedule: step t under accels[t]
+            grid, tilt, step_rec = B.ball_step(
+                grid, tilt, action.dtheta, accels[t], setup.ball, setup.unc,
+                setup.model, setup.params.dt)
+            assert step_rec == {key: rec[key] for key in step_rec}
+            assert tilt.tolist() == rec["tilt"]
+            assert int(np.count_nonzero(grid.values)) == rec["pss_cells"]
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="verify_ball_plan steps step t under accels[t+1], one step ahead of the "
+               "planner's accels[t]; at the retreat's braking edge this reports a false "
+               "EscapedCage at step 35 of the catch",
+    )
+    def test_replay_agrees_with_planner_on_catch(self, catch_run):
+        setup, traj, plan, result, _ = catch_run
+        replay = B.verify_ball_plan(setup.grid, plan, traj, setup.ball, setup.unc,
+                                    setup.model, setup.params, setup.initial_tilt)
+        assert replay == result
+
+
 class TestTaskSetups:
     def test_catching_retreat_stops_nominal_ball(self):
         setup = B.catching_setup(0.8, 0.05)

@@ -144,6 +144,30 @@ class TestBallCommand:
         path = write_config(tmp_path, "c.yaml", doc)
         assert cli.main(["ball", "--config", path]) == 2
 
+    def test_render_frames_follow_the_belief(self, tmp_path):
+        out = str(tmp_path / "out")
+        doc = ball_doc(out, mode="catch", rollouts=1)
+        doc["trajectory"] = {"kind": "retreat", "horizon_s": 0.2}
+        path = write_config(tmp_path, "c.yaml", doc)
+        cli.main(["ball", "--config", path, "--render"])
+        frame_dir = tmp_path / "out" / "frames"
+        frames = [(frame_dir / name).read_bytes() for name in sorted(os.listdir(frame_dir))]
+        assert len(frames) == 10
+        assert any(a != b for a, b in zip(frames, frames[1:]))
+
+    def test_lost_mass_warnings_reach_stderr(self, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        # a velocity box this narrow loses belief mass on the figure-eight
+        doc = ball_doc(out, v_max_m_s=0.06, rollouts=1)
+        doc["trajectory"] = {"kind": "lemniscate", "amplitude_m": 0.03,
+                             "steps": 251, "loops": 1, "ease": True}
+        path = write_config(tmp_path, "c.yaml", doc)
+        cli.main(["ball", "--config", path])
+        err = capsys.readouterr().err.splitlines()
+        assert err and all("lost_mass" in line and "exceeds 1e-3" in line for line in err)
+        runlog = (tmp_path / "out" / "runlog.jsonl").read_text()
+        assert "warning" not in runlog
+
     def test_trials_flag_overrides_rollouts(self, tmp_path):
         out = str(tmp_path / "out")
         path = write_config(tmp_path, "c.yaml", ball_doc(out))

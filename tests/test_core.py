@@ -126,14 +126,23 @@ class TestContainsGeometric:
         assert contains_geometric(g, cage) == contains_geometric(g2, cage2)
 
 
+def caged_step(cage, propagate=lambda pss, a, t: pss):
+    """A step kernel from a propagation and a fixed geometric cage."""
+
+    def step(pss, action, t):
+        pss = propagate(pss, action, t)
+        return pss, {"contained": contains_geometric(pss, cage)}
+
+    return step
+
+
 class TestVerifyCagingInTime:
     @staticmethod
     def _run(seq):
         g = PSSGrid.from_points(np.zeros((1, 2)), 1.0, Vec2(0.0, 0.0), (11, 11))
         cage = CageCircle(Vec2(0.0, 0.0), 3.0)
         return verify_caging_in_time(
-            g, ActionSequence.of(seq), lambda t: cage,
-            lambda pss, a, t: pss, contains_geometric, feasibility_quasi_static,
+            g, ActionSequence.of(seq), caged_step(cage), feasibility_quasi_static,
         )
 
     def test_identity_propagation_succeeds(self):
@@ -149,8 +158,8 @@ class TestVerifyCagingInTime:
         g = PSSGrid(np.zeros((5, 5), dtype=bool), 1.0, Vec2(0.0, 0.0))
         with pytest.raises(EmptyInitialPSS):
             verify_caging_in_time(
-                g, ActionSequence.of([NoAction()]), lambda t: None,
-                lambda p, a, t: p, lambda p, c: True, lambda a, t: True,
+                g, ActionSequence.of([NoAction()]),
+                lambda p, a, t: (p, {"contained": True}), lambda a, t: True,
             )
 
     def test_first_violation_reported(self):
@@ -164,8 +173,8 @@ class TestVerifyCagingInTime:
 
         cage = CageCircle(Vec2(0.0, 0.0), 2.5)
         res = verify_caging_in_time(
-            g, ActionSequence.of([NoAction()] * 5), lambda t: cage,
-            propagate, contains_geometric, feasibility_quasi_static,
+            g, ActionSequence.of([NoAction()] * 5), caged_step(cage, propagate),
+            feasibility_quasi_static,
         )
         assert not res.success
         assert res.failure_step == 2  # drifted to x=3 > 2.5 on the third step
@@ -174,8 +183,8 @@ class TestVerifyCagingInTime:
     def test_infeasible_action_reported(self):
         g = PSSGrid.from_points(np.zeros((1, 2)), 1.0, Vec2(0.0, 0.0), (11, 11))
         res = verify_caging_in_time(
-            g, ActionSequence.of([NoAction()] * 3), lambda t: None,
-            lambda p, a, t: p, lambda p, c: True, lambda a, t: t < 1,
+            g, ActionSequence.of([NoAction()] * 3),
+            lambda p, a, t: (p, {"contained": True}), lambda a, t: t < 1,
         )
         assert res.failure_step == 1
         assert res.failure_reason is FailureReason.InfeasibleAction

@@ -21,9 +21,11 @@ from cageintime.push import (
     SemiEllipseMotionSet,
     compute_poa,
     find_push,
+    initial_set,
     motion_set,
     plan_push,
     propagate_pss,
+    push_step,
     pusher_pose,
     segment_distance,
     trigger_cage,
@@ -224,6 +226,17 @@ class TestPlanProperties:
         plan, result, _ = plan_push(prob, prob.trajectory[0])
         assert result.success
         assert verify_push_plan(prob, prob.trajectory[0], plan).success
+
+    def test_kernel_replay_reproduces_runlog(self):
+        prob = small_problem()
+        plan, _, log = plan_push(prob, prob.trajectory[0])
+        pss = initial_set(prob, prob.trajectory[0])
+        records = []
+        for t, action in enumerate(plan):
+            pss, record = push_step(prob, pss, action, t)
+            records.append(record)
+        assert any(isinstance(a, PushAngle) for a in plan)
+        assert records == log.records
 
     def test_translation_equivariance(self):
         prob = small_problem()
