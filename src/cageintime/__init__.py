@@ -2,7 +2,6 @@
 time-varying cages: quasi-static pushing and dynamic ball-on-plate control."""
 
 from .core import (
-    ActionSequence,
     CageCircle,
     FailureReason,
     NoAction,
@@ -18,7 +17,6 @@ from .core import (
 )
 
 __all__ = [
-    "ActionSequence",
     "CageCircle",
     "FailureReason",
     "NoAction",

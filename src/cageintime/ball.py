@@ -12,13 +12,12 @@ collapsing the belief.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .core import (
-    ActionSequence,
     AllMassLost,
     FailureReason,
     RunLog,
@@ -501,8 +500,8 @@ def dynamic_control(
     unc: UncertaintyModel,
     model: EnergyModel,
     params: ControlParams,
-    initial_tilt: Optional[np.ndarray] = None,
-) -> tuple[ActionSequence, VerificationResult, RunLog]:
+    initial_tilt: np.ndarray,
+) -> tuple[tuple[TiltRate, ...], VerificationResult, RunLog]:
     """Open-loop control synthesis over the plate trajectory.
 
     At each step the barrier/Lyapunov QP (with rate and slew bounds) picks
@@ -516,7 +515,7 @@ def dynamic_control(
         raise ValueError(f"trajectory must have {n + 1} columns for n={n}")
     T = traj.shape[0] - 1
     accels = trajectory_accels(traj, params.dt)
-    tilt = np.zeros(n) if initial_tilt is None else np.asarray(initial_tilt, float).reshape(n)
+    tilt = np.asarray(initial_tilt, float).reshape(n)
     grid = initial
     prev_u = np.zeros(n)
     beta, dt = params.beta_max, params.dt
@@ -571,7 +570,7 @@ def dynamic_control(
             result = VerificationResult(False, t, failed)
             break
         prev_u = u
-    return ActionSequence.of(steps), result, log
+    return tuple(steps), result, log
 
 
 @dataclass(frozen=True)
@@ -608,13 +607,12 @@ class TaskSetup:
         return path
 
 
-def default_uncertainty(n: int, sigma_m: float = 0.05,
-                        sigma_p: float = 0.002, sigma_mu: float = 0.05) -> UncertaintyModel:
+def default_uncertainty(n: int) -> UncertaintyModel:
     """Default noise channels: 5% mass and friction error, and a plate
     acceleration bias of 0.002 m/s^2 (a constant-per-run bias of this size
     corresponds to a few centimeters of end-effector path deviation over a
     several-second run, the accuracy class of a position-servoed arm)."""
-    return UncertaintyModel(sigma_m, sigma_p**2 * np.eye(n + 1), sigma_mu)
+    return UncertaintyModel(0.05, 0.002**2 * np.eye(n + 1), 0.05)
 
 
 def balancing_setup(
@@ -624,21 +622,14 @@ def balancing_setup(
     v_max: float = 1.0,
     k_ve: float = 10.0,
     beta_max: float = 25.0,
-    x_spread: float = 0.004,
-    v_spread: float = 0.02,
-    ball: Optional[BallParams] = None,
-    unc: Optional[UncertaintyModel] = None,
 ) -> TaskSetup:
-    """Balancing task: belief concentrated near rest at the plate center."""
-    b = tennis_ball() if ball is None else ball
-    u = default_uncertainty(n) if unc is None else unc
-    grid = ProbGrid.box(
-        n, N, half_length, v_max,
-        -x_spread, x_spread, -v_spread, v_spread,
-    )
+    """Balancing task: belief uniform over 4 mm and 0.02 m/s around rest at
+    the plate center."""
+    b = tennis_ball()
+    grid = ProbGrid.box(n, N, half_length, v_max, -0.004, 0.004, -0.02, 0.02)
     model = EnergyModel(k_ve=k_ve, m_eff=b.m_eff, mass=b.mass)
     params = ControlParams(beta_max=beta_max)
-    return TaskSetup(grid, b, u, model, params, np.zeros(n))
+    return TaskSetup(grid, b, default_uncertainty(n), model, params, np.zeros(n))
 
 
 def catching_setup(
@@ -649,58 +640,54 @@ def catching_setup(
     N: int = 81,
     half_length: float = 0.15,
     v_max: float = 1.0,
-    stop_fraction: float = 0.3,
-    entry_fraction: float = 0.5,
-    x_spread: float = 0.004,
     belief_center: Optional[float] = None,
-    ball: Optional[BallParams] = None,
-    unc: Optional[UncertaintyModel] = None,
 ) -> TaskSetup:
     """Catching task: incoming-ball belief and a momentum-absorbing retreat.
 
-    The ball enters near the upstream plate edge (entry_fraction of the
-    half-length behind the center) so most of the plate length is available
-    for braking. The plate starts level and translates away under the ball
-    with constant acceleration sized so the nominal ball comes to rest in
-    the plate frame at stop_fraction of the half-length past the center;
-    the tilt controller then only has to absorb the residual spread. A
-    braking pre-tilt instead of the retreat leaves the stopped ball on a
-    slope it must roll back down, which the myopic controller cannot
-    recover, so the retreat is the default catch motion.
+    The ball enters within 4 mm of half the half-length upstream of the
+    center, so most of the plate length is available for braking. The plate
+    starts level and translates away under the ball with constant
+    acceleration sized so the nominal ball comes to rest in the plate frame
+    at 0.3 of the half-length past the center; the tilt controller then
+    only has to absorb the residual spread. A braking pre-tilt instead of
+    the retreat leaves the stopped ball on a slope it must roll back down,
+    which the myopic controller cannot recover, so the retreat is the
+    default catch motion.
 
     belief_center shifts the mean of the velocity belief away from the
     nominal speed the retreat is designed for, to model an inaccurate toss.
     """
-    b = tennis_ball() if ball is None else ball
-    u = default_uncertainty(1) if unc is None else unc
+    b = tennis_ball()
     vc = v_center if belief_center is None else belief_center
-    x_entry = -math.copysign(entry_fraction * half_length, v_center)
+    x_entry = -math.copysign(0.5 * half_length, v_center)
     grid = ProbGrid.box(
         1, N, half_length, v_max,
-        x_entry - x_spread, x_entry + x_spread,
+        x_entry - 0.004, x_entry + 0.004,
         vc - dv / 2.0, vc + dv / 2.0,
     )
     model = EnergyModel(k_ve=k_ve, m_eff=b.m_eff, mass=b.mass)
     params = ControlParams(beta_max=beta_max, eps=2.0)
-    run = abs(stop_fraction * half_length * math.copysign(1.0, v_center) - x_entry)
+    run = abs(0.3 * half_length * math.copysign(1.0, v_center) - x_entry)
     # plate acceleration that cancels the nominal relative velocity over the
     # run length; the rolling factor kappa scales frame acceleration into
     # ball acceleration, and the sign opposes the incoming velocity
     decel = v_center**2 / (2.0 * run)
     accel = -math.copysign(decel / b.kappa, v_center)
     t_brake = abs(v_center) / decel if decel > 0 else 0.0
-    return TaskSetup(grid, b, u, model, params, np.zeros(1), (accel, t_brake))
+    return TaskSetup(
+        grid, b, default_uncertainty(1), model, params, np.zeros(1), (accel, t_brake)
+    )
 
 
 def verify_ball_plan(
     initial: ProbGrid,
-    actions: ActionSequence,
+    actions: Sequence[TiltRate],
     trajectory: np.ndarray,
     ball: BallParams,
     unc: UncertaintyModel,
     model: EnergyModel,
     params: ControlParams,
-    initial_tilt: Optional[np.ndarray] = None,
+    initial_tilt: np.ndarray,
 ) -> VerificationResult:
     """Replay a tilt-rate plan through the generic verification driver,
     stepping with ``ball_step`` and checking the rate/slew feasibility bounds."""
@@ -709,7 +696,7 @@ def verify_ball_plan(
     n = initial.n
     traj = np.atleast_2d(np.asarray(trajectory, dtype=float))
     accels = trajectory_accels(traj, params.dt)
-    tilt0 = np.zeros(n) if initial_tilt is None else np.asarray(initial_tilt, float).reshape(n)
+    tilt0 = np.asarray(initial_tilt, float).reshape(n)
 
     def step(state, action, t):
         grid, tilt = state

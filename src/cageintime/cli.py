@@ -17,22 +17,16 @@ import numpy as np
 from . import ball as ballmod
 from . import oracle as oraclemod
 from .config import BadSpec, RunConfig, ball_trajectory, load_config, push_trajectory
-from .core import CageCircle, PushAngle, Vec2
+from .core import AllMassLost, CageCircle, PushAngle, Vec2, action_to_json
 from .push import PushProblem, initial_set, plan_push, push_step, pusher_pose
 from .render import render_prob_frame, render_push_frame
 from .trajectories import as_vec2_list
 
 
-def _write_plan(path: str, plan, task: str) -> None:
-    rows = []
-    for t, a in enumerate(plan):
-        if task == "push":
-            if isinstance(a, PushAngle):
-                rows.append({"t": t, "theta": a.theta, "k": a.k})
-            else:
-                rows.append({"t": t, "theta": None, "k": None})
-        else:
-            rows.append({"t": t, "dtheta": list(a.dtheta)})
+def _write_plan(path: str, plan) -> None:
+    # only a push plan holds NoAction steps, written as an empty push
+    rows = [{"t": t, **(action_to_json(a) or {"theta": None, "k": None})}
+            for t, a in enumerate(plan)]
     with open(path, "w") as fh:
         json.dump(rows, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -69,7 +63,7 @@ def run_push(cfg: RunConfig) -> int:
     plan, result, log = plan_push(problem, start)
     _print_warnings(log)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    _write_plan(os.path.join(cfg.out_dir, "plan.json"), plan, "push")
+    _write_plan(os.path.join(cfg.out_dir, "plan.json"), plan)
     log.write(os.path.join(cfg.out_dir, "runlog.jsonl"))
     if cfg.render:
         _write_frames(cfg, _push_frames(problem, start, plan))
@@ -152,13 +146,17 @@ def run_ball(cfg: RunConfig) -> int:
     traj = ball_trajectory(raw, setup.params.dt, setup.grid.n)
     if traj is None:
         traj = setup.trajectory(float(raw["trajectory"].get("horizon_s", 3.0)))
-    plan, result, log = ballmod.dynamic_control(
-        setup.grid, traj, setup.ball, setup.unc, setup.model, setup.params,
-        setup.initial_tilt,
-    )
+    try:
+        plan, result, log = ballmod.dynamic_control(
+            setup.grid, traj, setup.ball, setup.unc, setup.model, setup.params,
+            setup.initial_tilt,
+        )
+    except AllMassLost as e:
+        print(f"planning failed: {e}")
+        return 2
     _print_warnings(log)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    _write_plan(os.path.join(cfg.out_dir, "plan.json"), plan, "ball")
+    _write_plan(os.path.join(cfg.out_dir, "plan.json"), plan)
     log.write(os.path.join(cfg.out_dir, "runlog.jsonl"))
     if cfg.render:
         _write_frames(cfg, _ball_frames(setup, traj, plan))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -162,24 +162,6 @@ class TiltRate:
 Action = NoAction | PushAngle | TiltRate
 
 
-@dataclass(frozen=True)
-class ActionSequence:
-    steps: tuple[Action, ...]
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-    def __iter__(self):
-        return iter(self.steps)
-
-    def __getitem__(self, i):
-        return self.steps[i]
-
-    @classmethod
-    def of(cls, steps: Sequence[Action]) -> "ActionSequence":
-        return cls(tuple(steps))
-
-
 class FailureReason(enum.Enum):
     InfeasibleAction = "InfeasibleAction"
     EscapedCage = "EscapedCage"
@@ -232,7 +214,7 @@ def action_to_json(action: Action) -> Optional[dict]:
 
 def verify_caging_in_time(
     initial_pss,
-    actions: ActionSequence,
+    actions: Sequence[Action],
     step: Callable[[object, Action, int], tuple[object, dict]],
     feasible: Callable[[Action, int], bool],
 ) -> VerificationResult:

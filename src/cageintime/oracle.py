@@ -9,18 +9,14 @@ sensitivity sweep.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ActionSequence, NoAction, PushAngle, TiltRate, Vec2
+from .core import Action, PushAngle, TiltRate, Vec2
 from .push import PushProblem, PusherPose, pusher_pose, segment_distance
 from . import ball as ballmod
-
-
-class NoContact(RuntimeError):
-    """The pusher never reached the object's bounding circle."""
 
 
 @dataclass(frozen=True)
@@ -106,7 +102,7 @@ def simulate_push(
 
 
 def rollout_push_plan(
-    plan: ActionSequence,
+    plan: Sequence[Action],
     problem: PushProblem,
     q0: Vec2,
     cfg: PushOracleConfig,
@@ -271,7 +267,7 @@ def _exact_accel(
 
 
 def integrate_ball(
-    plan: ActionSequence,
+    plan: Sequence[TiltRate],
     trajectory: np.ndarray,
     ball: ballmod.BallParams,
     x0: np.ndarray,
@@ -326,7 +322,7 @@ def integrate_ball(
 
 
 def rollout_ball(
-    plan: ActionSequence,
+    plan: Sequence[TiltRate],
     trajectory: np.ndarray,
     ball: ballmod.BallParams,
     unc: ballmod.UncertaintyModel,

@@ -12,7 +12,7 @@ positions and selects push angles with a two-term outlier heuristic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -20,7 +20,6 @@ from scipy import ndimage
 
 from .core import (
     Action,
-    ActionSequence,
     CageCircle,
     EmptyResult,
     FailureReason,
@@ -141,19 +140,6 @@ class SemiEllipseMotionSet:
             return False
         a, b = self.d_con, self.d_con / 2.0
         return u * u / (a * a) + v * v / (b * b) <= 1.0 + tol
-
-
-@dataclass(frozen=True)
-class POA:
-    """Workspace area possibly occupied by the object body."""
-
-    cells: np.ndarray
-    resolution: float
-    frame_center: Vec2
-
-    def __post_init__(self):
-        object.__setattr__(self, "cells", np.asarray(self.cells, dtype=bool))
-        self.cells.setflags(write=False)
 
 
 def pusher_pose(cage_center_next: Vec2, R: float, theta: float, half_length: float) -> PusherPose:
@@ -284,19 +270,20 @@ def propagate_pss(
     return PSSGrid(cells=cells, resolution=rho, frame_center=new_center)
 
 
-def compute_poa(pss: PSSGrid, r: float) -> POA:
-    """Dilate the occupancy by a disk of radius r (in pixels, ceil(r/rho))."""
+def compute_poa(pss: PSSGrid, r: float) -> PSSGrid:
+    """Workspace area possibly occupied by the object body: the occupancy
+    dilated by a disk of radius r (in pixels, ceil(r/rho))."""
     if pss.is_empty:
-        return POA(cells=pss.cells.copy(), resolution=pss.resolution, frame_center=pss.frame_center)
+        return pss
     rp = int(math.ceil(r / pss.resolution))
     # disk dilation via the exact Euclidean distance transform (much faster
     # than morphological dilation with a large disk element)
     dil = ndimage.distance_transform_edt(~pss.cells) <= rp
-    return POA(cells=dil, resolution=pss.resolution, frame_center=pss.frame_center)
+    return PSSGrid(cells=dil, resolution=pss.resolution, frame_center=pss.frame_center)
 
 
 def heuristic_score(
-    poa: POA,
+    poa: PSSGrid,
     theta_k: float,
     cage_next: CageCircle,
     lambda1: float,
@@ -435,15 +422,13 @@ def push_step(
 def plan_push(
     problem: PushProblem,
     initial_position: Vec2,
-    check_spacing: bool = True,
-) -> tuple[ActionSequence, VerificationResult, RunLog]:
+) -> tuple[tuple[Action, ...], VerificationResult, RunLog]:
     """Open-loop plan: at each step recenter the cage on the next waypoint,
     pick a push if needed, propagate, and check containment.
     """
     if len(problem.trajectory) < 1:
         raise ValueError("trajectory must have at least one waypoint")
-    if check_spacing:
-        problem.check_spacing()
+    problem.check_spacing()
     if (initial_position - problem.trajectory[0]).norm() > problem.cage_size:
         raise ValueError("initial position lies outside the first cage")
     pss = initial_set(problem, initial_position)
@@ -463,13 +448,13 @@ def plan_push(
         if not record["contained"]:
             result = VerificationResult(False, t, FailureReason.EscapedCage)
             break
-    return ActionSequence.of(steps), result, log
+    return tuple(steps), result, log
 
 
 def verify_push_plan(
     problem: PushProblem,
     initial_position: Vec2,
-    actions: ActionSequence,
+    actions: Sequence[Action],
 ) -> VerificationResult:
     """Independent replay of a plan through the generic verification driver."""
     return verify_caging_in_time(

@@ -13,7 +13,6 @@ solving each equality-constrained QP in closed form.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,7 +87,7 @@ def cbf_satisfiable(qp: CbfClfQP) -> bool:
     return best >= -1e-12
 
 
-def solve(qp: CbfClfQP, debug: bool = False) -> QPSolution:
+def solve(qp: CbfClfQP) -> QPSolution:
     """Global optimum by active-set enumeration; exact for this problem size.
 
     feasible=False iff the barrier constraint cannot be met inside the box
@@ -96,10 +95,7 @@ def solve(qp: CbfClfQP, debug: bool = False) -> QPSolution:
     """
     n = qp.n
     if not cbf_satisfiable(qp):
-        sol = QPSolution(np.zeros(n), 0.0, float("inf"), False)
-        if debug:
-            print(_dump(qp, sol))
-        return sol
+        return QPSolution(np.zeros(n), 0.0, float("inf"), False)
     A, b = _constraints(qp)
     m = A.shape[0]
     P2 = np.diag([2.0] * n + [2.0 * qp.lam])  # Hessian of the objective
@@ -128,10 +124,7 @@ def solve(qp: CbfClfQP, debug: bool = False) -> QPSolution:
                     best_obj = obj
                     best_z = z
     assert best_z is not None, "satisfiable barrier must yield a feasible point"
-    sol = QPSolution(best_z[:n].copy(), float(best_z[n]), best_obj, True)
-    if debug:
-        print(_dump(qp, sol))
-    return sol
+    return QPSolution(best_z[:n].copy(), float(best_z[n]), best_obj, True)
 
 
 def kkt_residuals(qp: CbfClfQP, sol: QPSolution) -> dict:
@@ -157,23 +150,3 @@ def kkt_residuals(qp: CbfClfQP, sol: QPSolution) -> dict:
         "primal": float(max(0.0, -slack.min())),
         "complementarity": float(np.max(np.abs(mu * slack))),
     }
-
-
-def _dump(qp: CbfClfQP, sol: QPSolution) -> str:
-    rec = {
-        "n": qp.n,
-        "Lf_h": qp.Lf_h,
-        "Lg_h": qp.Lg_h.tolist(),
-        "alpha_h": qp.alpha_h,
-        "Lf_V": qp.Lf_V,
-        "Lg_V": qp.Lg_V.tolist(),
-        "cV": qp.cV,
-        "lam": qp.lam,
-        "lo": qp.lo.tolist(),
-        "hi": qp.hi.tolist(),
-        "dtheta": sol.dtheta.tolist(),
-        "delta": sol.delta,
-        "objective": sol.objective,
-        "feasible": sol.feasible,
-    }
-    return json.dumps(rec, sort_keys=True)

@@ -3,14 +3,13 @@ state set, cage, and pusher (or belief grid and plate tilt)."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .core import CageCircle, PSSGrid
-from .push import POA, PusherPose, compute_poa, segment_distance
+from .push import PusherPose, compute_poa, segment_distance
 
 GRAY_PUSHER = 32
 GRAY_CAGE = 96

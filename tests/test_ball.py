@@ -125,6 +125,27 @@ class TestEnergy:
         assert B.energy(0.05, 0.0, 1.0, MODEL) < B.energy(0.05, 0.0, 0.0, MODEL)
 
 
+    @pytest.mark.parametrize("n,N", [(1, 41), (2, 11)])
+    def test_field_matches_energy_on_support(self, n, N):
+        # energy() is the reference the vectorised cage field must reproduce
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            shape = (N,) * (2 * n)
+            vals = rng.random(shape) * (rng.random(shape) < 0.1)
+            if vals.sum() == 0:
+                continue
+            g = B.ProbGrid(n, N, 0.08, 1.0, vals)
+            plate = B.PlateState(n, 0.08, rng.uniform(-0.5, 0.5, n),
+                                 rng.uniform(-1, 1, n + 1))
+            _, _, a_eff = B.plate_frame_accels(plate)
+            field = B._energy_field(g, plate, MODEL)
+            ax, av = g.x_axis, g.v_axis
+            for idx in zip(*np.nonzero(g.values)):
+                x = [ax[i] for i in idx[:n]]
+                v = [av[i] for i in idx[n:]]
+                assert abs(field[idx] - B.energy(x, v, a_eff, MODEL)) <= 1e-12
+
+
 class TestEMax:
     def test_flat_plate(self):
         assert B.e_max(flat_plate(), MODEL) == pytest.approx(0.032)

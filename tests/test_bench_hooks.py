@@ -1,25 +1,36 @@
-"""The benchmark patches package functions by (module, attribute) name; every
-name it lists must still resolve, or a refactor breaks the benchmark silently."""
+"""The benchmark patches package functions by (module, attribute) name and
+builds its inputs through the package's constructors and task setups; every
+name, field and keyword it uses must still resolve, or a refactor breaks the
+benchmark silently."""
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    # dataclasses look their defining module up in sys.modules
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_layer_and_step_hook_resolves():
-    spans = load_spans()
+    spans = load("spans")
     hooks = [(key, attr) for key, attr, _ in spans.LAYERS] + list(spans.STEP_HOOKS)
     missing = [
         (key, attr) for key, attr in hooks
         if not callable(getattr(importlib.import_module(f"cageintime.{key}"), attr, None))
     ]
     assert hooks and not missing
+
+
+def test_every_workload_builds():
+    tasks = load("tasks")
+    for workload, entries in tasks.WORKLOADS.items():
+        assert len(tasks.build(workload)) == len(entries)

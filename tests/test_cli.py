@@ -168,6 +168,17 @@ class TestBallCommand:
         runlog = (tmp_path / "out" / "runlog.jsonl").read_text()
         assert "warning" not in runlog
 
+    def test_all_mass_lost_exit_two(self, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        # a velocity box this narrow loses every belief cell on the figure-eight
+        doc = ball_doc(out, v_max_m_s=0.02, rollouts=1)
+        doc["trajectory"] = {"kind": "lemniscate", "amplitude_m": 0.03,
+                             "steps": 51, "loops": 1, "ease": True}
+        path = write_config(tmp_path, "c.yaml", doc)
+        assert cli.main(["ball", "--config", path]) == 2
+        stdout = capsys.readouterr().out
+        assert "planning failed: all probability mass left the state box" in stdout
+
     def test_trials_flag_overrides_rollouts(self, tmp_path):
         out = str(tmp_path / "out")
         path = write_config(tmp_path, "c.yaml", ball_doc(out))

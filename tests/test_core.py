@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cageintime.core import (
-    ActionSequence,
     CageCircle,
     EmptyInitialPSS,
     FailureReason,
@@ -142,7 +141,7 @@ class TestVerifyCagingInTime:
         g = PSSGrid.from_points(np.zeros((1, 2)), 1.0, Vec2(0.0, 0.0), (11, 11))
         cage = CageCircle(Vec2(0.0, 0.0), 3.0)
         return verify_caging_in_time(
-            g, ActionSequence.of(seq), caged_step(cage), feasibility_quasi_static,
+            g, tuple(seq), caged_step(cage), feasibility_quasi_static,
         )
 
     def test_identity_propagation_succeeds(self):
@@ -158,7 +157,7 @@ class TestVerifyCagingInTime:
         g = PSSGrid(np.zeros((5, 5), dtype=bool), 1.0, Vec2(0.0, 0.0))
         with pytest.raises(EmptyInitialPSS):
             verify_caging_in_time(
-                g, ActionSequence.of([NoAction()]),
+                g, tuple([NoAction()]),
                 lambda p, a, t: (p, {"contained": True}), lambda a, t: True,
             )
 
@@ -173,7 +172,7 @@ class TestVerifyCagingInTime:
 
         cage = CageCircle(Vec2(0.0, 0.0), 2.5)
         res = verify_caging_in_time(
-            g, ActionSequence.of([NoAction()] * 5), caged_step(cage, propagate),
+            g, tuple([NoAction()] * 5), caged_step(cage, propagate),
             feasibility_quasi_static,
         )
         assert not res.success
@@ -183,7 +182,7 @@ class TestVerifyCagingInTime:
     def test_infeasible_action_reported(self):
         g = PSSGrid.from_points(np.zeros((1, 2)), 1.0, Vec2(0.0, 0.0), (11, 11))
         res = verify_caging_in_time(
-            g, ActionSequence.of([NoAction()] * 3),
+            g, tuple([NoAction()] * 3),
             lambda p, a, t: (p, {"contained": True}), lambda a, t: t < 1,
         )
         assert res.failure_step == 1

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cageintime.core import ActionSequence, NoAction, TiltRate, Vec2
+from cageintime.core import NoAction, TiltRate, Vec2
 from cageintime import ball as B
 from cageintime import oracle
 from cageintime.push import PushProblem, pusher_pose
@@ -84,7 +84,7 @@ class TestRolloutPushPlan:
     def test_all_none_plan_static(self):
         traj = (Vec2(0.0, 0.0),) * 6
         prob = PushProblem(trajectory=traj)
-        plan = ActionSequence.of([NoAction()] * 5)
+        plan = tuple([NoAction()] * 5)
         _, max_err = oracle.rollout_push_plan(plan, prob, Vec2(0.0, 0.0),
                                               oracle.PushOracleConfig())
         assert max_err == 0.0
@@ -138,7 +138,7 @@ class TestPController:
 class TestBallIntegrator:
     def test_rest_ball_stays(self):
         ball = B.tennis_ball()
-        plan = ActionSequence.of([TiltRate.of([0.0])] * 50)
+        plan = tuple([TiltRate.of([0.0])] * 50)
         traj = np.zeros((51, 2))
         xs, vs = oracle.integrate_ball(plan, traj, ball, np.zeros(1),
                                        np.zeros(1), np.zeros(1), 0.02, 0.002)
@@ -147,7 +147,7 @@ class TestBallIntegrator:
     def test_kinetic_energy_conserved_without_friction(self):
         ball = B.tennis_ball(mu_r=0.0)
         steps = 500  # 10 s at dt=0.02
-        plan = ActionSequence.of([TiltRate.of([0.0])] * steps)
+        plan = tuple([TiltRate.of([0.0])] * steps)
         traj = np.zeros((steps + 1, 2))
         v0 = 0.3
         xs, vs = oracle.integrate_ball(plan, traj, ball, np.zeros(1),
@@ -159,7 +159,7 @@ class TestBallIntegrator:
         # constant 0.1 rad tilt: closed form v(t) for linear friction
         ball = B.tennis_ball()
         steps = 100
-        plan = ActionSequence.of([TiltRate.of([0.0])] * steps)
+        plan = tuple([TiltRate.of([0.0])] * steps)
         traj = np.zeros((steps + 1, 2))
         tilt = np.array([0.1])
         xs, vs = oracle.integrate_ball(plan, traj, ball, np.zeros(1),
@@ -173,7 +173,7 @@ class TestBallIntegrator:
 class TestRolloutBall:
     def test_trivial_static_success(self):
         ball = B.tennis_ball()
-        plan = ActionSequence.of([TiltRate.of([0.0])] * 20)
+        plan = tuple([TiltRate.of([0.0])] * 20)
         traj = np.zeros((21, 2))
         cfg = oracle.BallOracleConfig(rollouts=5, seed=0)
         rate, max_abs = oracle.rollout_ball(
@@ -184,7 +184,7 @@ class TestRolloutBall:
 
     def test_excess_velocity_fails(self):
         ball = B.tennis_ball()
-        plan = ActionSequence.of([TiltRate.of([0.0])] * 100)
+        plan = tuple([TiltRate.of([0.0])] * 100)
         traj = np.zeros((101, 2))
         cfg = oracle.BallOracleConfig(rollouts=5, seed=0)
         rate, _ = oracle.rollout_ball(
@@ -194,7 +194,7 @@ class TestRolloutBall:
 
     def test_bit_reproducible(self):
         ball = B.tennis_ball()
-        plan = ActionSequence.of([TiltRate.of([0.01])] * 30)
+        plan = tuple([TiltRate.of([0.01])] * 30)
         traj = np.zeros((31, 2))
         unc = B.default_uncertainty(1)
         cfg = oracle.BallOracleConfig(rollouts=4, seed=5)

@@ -56,11 +56,6 @@ class TestSolve:
         assert sol.feasible
         assert sol.delta >= 3.0 - 1e-9 or sol.objective <= 1.0 * 3.0**2 + 1e-9
 
-    def test_debug_dump(self, capsys):
-        solve(make(), debug=True)
-        out = capsys.readouterr().out
-        assert '"feasible": true' in out
-
 
 class TestAgainstGridSearch:
     def test_random_instances(self):
