@@ -140,17 +140,16 @@ class ControlParams:
 
 
 class ProbGrid:
-    """Normalized probability over the 2n-dimensional (position, velocity) box.
+    """Normalized probability over the 2n-dimensional (position, velocity) box,
+    stored on its support.
 
-    values has shape (N,)*2n with axes (x[, y], vx[, vy]); axis coordinate i
-    maps to -max + i * 2*max/(N-1).
+    cells (M, 2n) holds the integer indices of the supported cells along the
+    axes (x[, y], vx[, vy]), in C order, and p (M,) their masses; axis
+    coordinate i maps to -max + i * 2*max/(N-1). values is the dense
+    (N,)*2n view, built on each access.
     """
 
     def __init__(self, n: int, N: int, x_max: float, v_max: float, values: np.ndarray):
-        if n not in (1, 2):
-            raise ValueError("n must be 1 or 2")
-        if N < 3 or N % 2 == 0:
-            raise ValueError("N must be odd and at least 3")
         vals = np.asarray(values, dtype=float)
         if vals.shape != (N,) * (2 * n):
             raise ValueError("values shape must be (N,)*2n")
@@ -159,20 +158,42 @@ class ProbGrid:
         s = vals.sum()
         if s <= 0:
             raise ValueError("support must be nonempty")
+        vals = vals / s
+        idx = np.nonzero(vals)
+        self._set(n, N, x_max, v_max, np.column_stack(idx), vals[idx])
+
+    @classmethod
+    def _from_support(cls, n: int, N: int, x_max: float, v_max: float,
+                      cells: np.ndarray, p: np.ndarray) -> "ProbGrid":
+        """Grid of the positive masses p at the C-ordered cell indices cells."""
+        if len(p) == 0:
+            raise ValueError("support must be nonempty")
+        grid = cls.__new__(cls)
+        grid._set(n, N, x_max, v_max, cells, p / p.sum())
+        return grid
+
+    def _set(self, n, N, x_max, v_max, cells, p) -> None:
+        if n not in (1, 2):
+            raise ValueError("n must be 1 or 2")
+        if N < 3 or N % 2 == 0:
+            raise ValueError("N must be odd and at least 3")
         self.n = n
         self.N = N
         self.x_max = x_max
         self.v_max = v_max
-        self.values = vals / s
-        self.values.setflags(write=False)
+        self.cells = cells
+        self.p = p
+        self.x_axis = np.linspace(-x_max, x_max, N)
+        self.v_axis = np.linspace(-v_max, v_max, N)
+        for a in (cells, p, self.x_axis, self.v_axis):
+            a.setflags(write=False)
 
     @property
-    def x_axis(self) -> np.ndarray:
-        return np.linspace(-self.x_max, self.x_max, self.N)
-
-    @property
-    def v_axis(self) -> np.ndarray:
-        return np.linspace(-self.v_max, self.v_max, self.N)
+    def values(self) -> np.ndarray:
+        vals = np.zeros((self.N,) * (2 * self.n))
+        vals[tuple(self.cells.T)] = self.p
+        vals.setflags(write=False)
+        return vals
 
     @property
     def x_step(self) -> float:
@@ -184,21 +205,16 @@ class ProbGrid:
 
     def support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(positions (M,n), velocities (M,n), probabilities (M,))."""
-        idx = np.nonzero(self.values)
-        p = self.values[idx]
-        xs = np.column_stack([self.x_axis[idx[d]] for d in range(self.n)])
-        vs = np.column_stack([self.v_axis[idx[self.n + d]] for d in range(self.n)])
-        return xs, vs, p
+        return self.x_axis[self.cells[:, :self.n]], self.v_axis[self.cells[:, self.n:]], self.p
 
     @classmethod
     def delta(cls, n: int, N: int, x_max: float, v_max: float,
               x, v) -> "ProbGrid":
         """Point mass at the cell nearest (x, v)."""
-        vals = np.zeros((N,) * (2 * n))
         xi = np.clip(np.rint((np.atleast_1d(x) + x_max) / (2 * x_max / (N - 1))), 0, N - 1)
         vi = np.clip(np.rint((np.atleast_1d(v) + v_max) / (2 * v_max / (N - 1))), 0, N - 1)
-        vals[tuple(int(i) for i in xi) + tuple(int(i) for i in vi)] = 1.0
-        return cls(n, N, x_max, v_max, vals)
+        cell = np.concatenate([xi, vi]).astype(int).reshape(1, 2 * n)
+        return cls._from_support(n, N, x_max, v_max, cell, np.ones(1))
 
     @classmethod
     def box(cls, n: int, N: int, x_max: float, v_max: float,
@@ -215,12 +231,10 @@ class ProbGrid:
             masks.append((ax >= x_lo[d] - 1e-12) & (ax <= x_hi[d] + 1e-12))
         for d in range(n):
             masks.append((av >= v_lo[d] - 1e-12) & (av <= v_hi[d] + 1e-12))
-        vals = np.ones((N,) * (2 * n))
-        for axis, mk in enumerate(masks):
-            shape = [1] * (2 * n)
-            shape[axis] = N
-            vals = vals * mk.reshape(shape)
-        return cls(n, N, x_max, v_max, vals)
+        # the product of the per-axis index sets, in C order
+        mesh = np.meshgrid(*[np.flatnonzero(mk) for mk in masks], indexing="ij")
+        cells = np.column_stack([m.ravel() for m in mesh])
+        return cls._from_support(n, N, x_max, v_max, cells, np.ones(len(cells)))
 
 
 # --- plate-frame kinematics and dynamics ----------------------------------
@@ -296,45 +310,32 @@ def e_max(plate: PlateState, model: EnergyModel) -> float:
     l = plate.half_length
     if plate.n == 1:
         return 0.5 * model.k_ve * l * l - model.mass * abs(float(a_eff[0])) * l
-    # square boundary sampled at about 1 degree of arc-length
-    step = l * math.pi / 180.0
-    m = max(2, int(math.ceil(2 * l / step)) + 1)
-    s = np.linspace(-l, l, m)
-    edges = [
-        np.column_stack([s, np.full(m, l)]),
-        np.column_stack([s, np.full(m, -l)]),
-        np.column_stack([np.full(m, l), s]),
-        np.column_stack([np.full(m, -l), s]),
-    ]
-    b = np.vstack(edges)
+    # square plate: on each edge the static energy is a 1-D quadratic in the
+    # free coordinate, lowest at its vertex clipped to the edge
+    free = np.clip(model.mass * a_eff / model.k_ve, -l, l)
+    b = np.array([[free[0], l], [free[0], -l], [l, free[1]], [-l, free[1]]])
     stat = 0.5 * model.k_ve * np.sum(b * b, axis=1) - model.mass * (b @ a_eff)
     return float(stat.min())
 
 
 def _energy_field(grid: ProbGrid, plate: PlateState, model: EnergyModel) -> np.ndarray:
-    """Energy of every grid cell, same shape as grid.values."""
+    """Energy of every supported cell, aligned with grid.p."""
     _, _, a_eff = plate_frame_accels(plate)
     ax, av = grid.x_axis, grid.v_axis
-    n, N = grid.n, grid.N
-    E = np.zeros((N,) * (2 * n))
+    n = grid.n
+    E = np.zeros(len(grid.p))
     for d in range(n):
-        shape = [1] * (2 * n)
-        shape[d] = N
-        E = E + (0.5 * model.k_ve * ax**2 - model.mass * a_eff[d] * ax).reshape(shape)
-        shape = [1] * (2 * n)
-        shape[n + d] = N
-        E = E + (0.5 * model.m_eff * av**2).reshape(shape)
+        E = E + (0.5 * model.k_ve * ax**2 - model.mass * a_eff[d] * ax)[grid.cells[:, d]]
+        E = E + (0.5 * model.m_eff * av**2)[grid.cells[:, n + d]]
     return E
 
 
 def entropy(grid: ProbGrid) -> float:
-    p = grid.values[grid.values > 0]
-    return float(-np.sum(p * np.log(p)))
+    return float(-np.sum(grid.p * np.log(grid.p)))
 
 
 def max_energy(grid: ProbGrid, plate: PlateState, model: EnergyModel) -> float:
-    E = _energy_field(grid, plate, model)
-    return float(E[grid.values > 0].max())
+    return float(_energy_field(grid, plate, model).max())
 
 
 def cbf_value(grid: ProbGrid, plate: PlateState, model: EnergyModel) -> float:
@@ -345,7 +346,7 @@ def cbf_value(grid: ProbGrid, plate: PlateState, model: EnergyModel) -> float:
 def clf_value(grid: ProbGrid, plate: PlateState, model: EnergyModel, k_S: float) -> float:
     """Expected energy minus weighted belief entropy."""
     E = _energy_field(grid, plate, model)
-    return float(np.sum(grid.values * E)) - k_S * entropy(grid)
+    return float(np.sum(grid.p * E)) - k_S * entropy(grid)
 
 
 # --- belief propagation ---------------------------------------------------
@@ -405,16 +406,14 @@ def propagate_prob(
     if lost >= 1.0 - 1e-12:
         raise AllMassLost("all probability mass left the state box")
 
-    flat = np.zeros(N ** (2 * n))
-    xi_ok = xi[ok].astype(int)
-    vi_ok = vi[ok].astype(int)
-    if n == 1:
-        lin = xi_ok[:, 0] * N + vi_ok[:, 0]
-    else:
-        lin = ((xi_ok[:, 0] * N + xi_ok[:, 1]) * N + vi_ok[:, 0]) * N + vi_ok[:, 1]
-    np.add.at(flat, lin, mass[ok])
-    flat[flat < 1e-3 * flat.max()] = 0.0
-    out = ProbGrid(n, N, grid.x_max, grid.v_max, flat.reshape((N,) * (2 * n)))
+    # bincount sums the deposits of each destination cell in input order
+    shape = (N,) * (2 * n)
+    lin = np.ravel_multi_index(np.concatenate([xi[ok], vi[ok]], axis=1).astype(int).T, shape)
+    keys, inv = np.unique(lin, return_inverse=True)
+    cell_mass = np.bincount(inv, weights=mass[ok])
+    keep = cell_mass >= 1e-3 * cell_mass.max()
+    cells = np.column_stack(np.unravel_index(keys[keep], shape))
+    out = ProbGrid._from_support(n, N, grid.x_max, grid.v_max, cells, cell_mass[keep])
     return out, lost
 
 
@@ -560,7 +559,7 @@ def dynamic_control(
                 log.warn(f"step {t}: lost_mass {record['lost_mass']:.4g} exceeds 1e-3")
             failed = None if record["contained"] else FailureReason.EscapedCage
         record.update(
-            t=t, action={"dtheta": u.tolist()}, pss_cells=int(np.count_nonzero(grid.values)),
+            t=t, action={"dtheta": u.tolist()}, pss_cells=len(grid.p),
             cage_center=traj[t + 1, :n].tolist(), h=h, V=V, entropy=entropy(grid),
             dtheta=u.tolist(), tilt=tilt.tolist(),
         )

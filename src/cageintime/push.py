@@ -436,8 +436,10 @@ def plan_push(
     steps: list = []
     prev_theta: Optional[float] = None
     result = VerificationResult(True)
+    # the trigger radius scans the whole trajectory, so it is taken once per plan
+    trigger_radius = trigger_cage(problem, problem.trajectory[0]).radius
     for t in range(len(problem.trajectory) - 1):
-        trigger = trigger_cage(problem, problem.trajectory[t + 1])
+        trigger = CageCircle(problem.trajectory[t + 1], trigger_radius)
         push = find_push(pss, problem, trigger, prev_theta)
         action = NoAction() if push is None else push
         steps.append(action)

@@ -12,6 +12,8 @@ from cageintime import ball as B
 from cageintime.core import FailureReason, TiltRate
 from cageintime import oracle
 
+import dense_belief as D
+
 
 TB = B.tennis_ball()
 MODEL = B.EnergyModel(k_ve=10.0, m_eff=TB.m_eff, mass=TB.mass)
@@ -140,10 +142,11 @@ class TestEnergy:
             _, _, a_eff = B.plate_frame_accels(plate)
             field = B._energy_field(g, plate, MODEL)
             ax, av = g.x_axis, g.v_axis
-            for idx in zip(*np.nonzero(g.values)):
+            assert field.shape == g.p.shape
+            for idx, e in zip(g.cells, field):
                 x = [ax[i] for i in idx[:n]]
                 v = [av[i] for i in idx[n:]]
-                assert abs(field[idx] - B.energy(x, v, a_eff, MODEL)) <= 1e-12
+                assert abs(e - B.energy(x, v, a_eff, MODEL)) <= 1e-12
 
 
 class TestEMax:
@@ -165,6 +168,34 @@ class TestEMax:
         plate = B.PlateState(2, 0.08, np.zeros(2), np.zeros(3))
         # lowest boundary energy sits at an edge midpoint, distance l
         assert B.e_max(plate, MODEL) == pytest.approx(0.032, rel=1e-3)
+
+    def test_square_plate_exact_minimum(self):
+        # the closed-form edge minimum lies at or below a boundary sampling
+        # (116 points per edge, about 1 degree of arc, and 10^5 per edge) and
+        # the fine sampling converges to it; accelerations up to 20 m/s^2
+        # move some vertices past the corners
+        rng = np.random.default_rng(5)
+        l = 0.08
+
+        def sampled(plate, m):
+            _, _, a_eff = B.plate_frame_accels(plate)
+            s = np.linspace(-l, l, m)
+            b = np.vstack([np.column_stack([s, np.full(m, c)]) for c in (l, -l)]
+                          + [np.column_stack([np.full(m, c), s]) for c in (l, -l)])
+            stat = 0.5 * MODEL.k_ve * np.sum(b * b, axis=1) - MODEL.mass * (b @ a_eff)
+            return float(stat.min())
+
+        clipped = 0
+        for _ in range(20):
+            plate = B.PlateState(2, l, rng.uniform(-0.5, 0.5, 2), rng.uniform(-20, 20, 3))
+            _, _, a_eff = B.plate_frame_accels(plate)
+            clipped += bool(np.any(np.abs(MODEL.mass * a_eff / MODEL.k_ve) > l))
+            exact = B.e_max(plate, MODEL)
+            fine = sampled(plate, 10**5)
+            assert exact <= sampled(plate, 116)
+            assert exact <= fine
+            assert fine - exact <= 1e-9
+        assert 0 < clipped < 20
 
 
 class TestProbGrid:
@@ -188,6 +219,35 @@ class TestProbGrid:
         xs, vs, _ = g.support()
         assert xs.min() >= -0.01 - 1e-9 and xs.max() <= 0.01 + 1e-9
         assert vs.min() >= 0.3 - 1e-9 and vs.max() <= 0.4 + 1e-9
+
+    @pytest.mark.parametrize("n,N", [(1, 41), (2, 11)])
+    def test_dense_round_trip(self, n, N):
+        rng = np.random.default_rng(7)
+        shape = (N,) * (2 * n)
+        vals = rng.random(shape) * (rng.random(shape) < 0.1)
+        g = B.ProbGrid(n, N, 0.08, 1.0, vals)
+        assert np.array_equal(g.values, vals / vals.sum())
+        assert np.array_equal(g.cells, np.argwhere(vals))
+        assert np.array_equal(B.ProbGrid(n, N, 0.08, 1.0, g.values).values, g.values)
+
+    @pytest.mark.parametrize("n,N", [(1, 81), (2, 31)])
+    def test_box_and_delta_match_dense_construction(self, n, N):
+        boxes = [(-0.004, 0.004, -0.02, 0.02), (-0.01, 0.03, 0.3, 0.4), (-1.0, 1.0, -0.1, 0.0)]
+        if n == 2:
+            boxes.append(([-0.02, 0.0], [0.01, 0.05], [0.1, -0.3], [0.2, -0.1]))
+        for x_lo, x_hi, v_lo, v_hi in boxes:
+            ref = D.box_values(n, N, 0.08, 1.0, x_lo, x_hi, v_lo, v_hi)
+            g = B.ProbGrid.box(n, N, 0.08, 1.0, x_lo, x_hi, v_lo, v_hi)
+            assert np.array_equal(g.values, ref / ref.sum())
+            assert np.array_equal(g.cells, np.argwhere(ref))
+        with pytest.raises(ValueError):
+            B.ProbGrid.box(n, N, 0.08, 1.0, 0.01, -0.01, 0.0, 0.1)
+        for x, v in [(0.0, 0.0), (0.079, 1.0), (-0.2, -3.0), (0.013, -0.37)]:
+            x, v = np.full(n, x), np.full(n, v)
+            ref = D.delta_values(n, N, 0.08, 1.0, x, v)
+            g = B.ProbGrid.delta(n, N, 0.08, 1.0, x, v)
+            assert np.array_equal(g.values, ref)
+            assert np.array_equal(g.cells, np.argwhere(ref))
 
 
 class TestEntropy:
@@ -297,6 +357,37 @@ class TestPropagateProb:
         out, _ = B.propagate_prob(g, TiltRate.of([0.0, 0.0]), plate, TB,
                                   B.default_uncertainty(2), 0.02)
         assert abs(out.values.sum() - 1.0) <= 1e-9
+
+
+class TestSupportMatchesDense:
+    @pytest.mark.parametrize("n,N", [(1, 41), (2, 11)])
+    def test_cage_terms_and_propagation(self, n, N):
+        # the dense implementation the support-stored grid replaced; a wide
+        # acceleration noise spreads each cell over several destinations so
+        # that low tails are pruned, and cells near the box edge lose mass
+        rng = np.random.default_rng(17)
+        unc = B.UncertaintyModel(0.2, 25.0 * np.eye(n + 1), 1.0)
+        pruned, lost_total = 0, 0.0
+        for _ in range(20):
+            shape = (N,) * (2 * n)
+            vals = rng.random(shape) * (rng.random(shape) < 0.1)
+            if vals.sum() == 0:
+                continue
+            g = B.ProbGrid(n, N, 0.08, 1.0, vals)
+            plate = B.PlateState(n, 0.08, rng.uniform(-0.5, 0.5, n),
+                                 rng.uniform(-1, 1, n + 1))
+            assert abs(B.max_energy(g, plate, MODEL) - D.max_energy(g, plate, MODEL)) <= 1e-12
+            assert abs(B.entropy(g) - D.entropy(g)) <= 1e-12
+            assert abs(B.clf_value(g, plate, MODEL, 0.002)
+                       - D.clf_value(g, plate, MODEL, 0.002)) <= 1e-12
+            out, lost = B.propagate_prob(g, TiltRate.of(np.zeros(n)), plate, TB, unc, 0.02)
+            ref, ref_lost, ref_pruned = D.propagate(g, plate, TB, unc, 0.02)
+            assert abs(lost - ref_lost) <= 1e-12
+            assert np.array_equal(out.cells, np.argwhere(ref))
+            assert np.abs(out.values - ref).max() <= 1e-12
+            pruned += ref_pruned
+            lost_total += lost
+        assert pruned > 0 and lost_total > 0
 
 
 class TestLieDerivatives:

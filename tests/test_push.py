@@ -32,6 +32,7 @@ from cageintime.push import (
     verify_push_plan,
 )
 from cageintime import oracle
+from cageintime import push as push_module
 from cageintime.trajectories import as_vec2_list, circle
 
 
@@ -270,6 +271,15 @@ class TestPlanProperties:
         a, _, _ = plan_push(prob, prob.trajectory[0])
         b, _, _ = plan_push(prob, prob.trajectory[0])
         assert self._angles(a) == self._angles(b)
+
+    def test_max_spacing_once_per_plan(self, monkeypatch):
+        calls = []
+        real = push_module.max_spacing
+        monkeypatch.setattr(push_module, "max_spacing",
+                            lambda problem: calls.append(problem) or real(problem))
+        prob = small_problem()
+        plan_push(prob, prob.trajectory[0])
+        assert len(calls) == 1
 
     def test_no_push_when_contained(self):
         prob = small_problem()
