@@ -11,9 +11,11 @@ collapsing the belief.
 
 from __future__ import annotations
 
+import copy
+import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -117,26 +119,26 @@ class EnergyModel:
 
 @dataclass(frozen=True)
 class ControlParams:
-    gamma: float = 5.0  # 1/s, linear class-K gain
-    c: float = 1.0  # 1/s, Lyapunov decrease rate
-    lam: float = 1.0  # slack weight
-    k_S: float = 0.002  # J, entropy weight
-    dtheta_min: float = -4.0  # rad/s
-    dtheta_max: float = 4.0
+    """Controller tuning. The slew limit and the Lie-derivative probe are set
+    per task; the other gains and bounds are constants of the controller."""
+
     beta_max: float = 25.0  # rad/s^2 slew limit
-    tilt_max: float = 1.4  # rad, tilt range folded into the rate box
-    dt: float = 0.02  # s
     eps: float = 0.01  # rad/s probe for numerical Lie derivatives
 
+    gamma: ClassVar[float] = 5.0  # 1/s, linear class-K gain
+    c: ClassVar[float] = 1.0  # 1/s, Lyapunov decrease rate
+    lam: ClassVar[float] = 1.0  # slack weight
+    k_S: ClassVar[float] = 0.002  # J, entropy weight
+    dtheta_min: ClassVar[float] = -4.0  # rad/s
+    dtheta_max: ClassVar[float] = 4.0
+    tilt_max: ClassVar[float] = 1.4  # rad, tilt range folded into the rate box
+    dt: ClassVar[float] = 0.02  # s
+
     def __post_init__(self):
-        if min(self.gamma, self.c, self.lam, self.dt, self.eps) <= 0:
-            raise ValueError("gamma, c, lam, dt, eps must be positive")
-        if self.dtheta_min >= self.dtheta_max:
-            raise ValueError("dtheta bounds must satisfy min < max")
+        if self.eps <= 0:
+            raise ValueError("eps must be positive")
         if self.beta_max < 0:
             raise ValueError("beta_max must be nonnegative")
-        if not 0.0 < self.tilt_max < math.pi / 2:
-            raise ValueError("tilt_max must lie in (0, pi/2)")
 
 
 class ProbGrid:
@@ -160,19 +162,26 @@ class ProbGrid:
             raise ValueError("support must be nonempty")
         vals = vals / s
         idx = np.nonzero(vals)
-        self._set(n, N, x_max, v_max, np.column_stack(idx), vals[idx])
+        self._set_axes(n, N, x_max, v_max)
+        self._set_support(np.column_stack(idx), vals[idx])
 
     @classmethod
-    def _from_support(cls, n: int, N: int, x_max: float, v_max: float,
-                      cells: np.ndarray, p: np.ndarray) -> "ProbGrid":
-        """Grid of the positive masses p at the C-ordered cell indices cells."""
-        if len(p) == 0:
-            raise ValueError("support must be nonempty")
+    def _on_axes(cls, n: int, N: int, x_max: float, v_max: float) -> "ProbGrid":
+        """A grid with its axes but no support yet, for ``_with_support``."""
         grid = cls.__new__(cls)
-        grid._set(n, N, x_max, v_max, cells, p / p.sum())
+        grid._set_axes(n, N, x_max, v_max)
         return grid
 
-    def _set(self, n, N, x_max, v_max, cells, p) -> None:
+    def _with_support(self, cells: np.ndarray, p: np.ndarray) -> "ProbGrid":
+        """A grid on these axes holding the positive masses p, normalized, at
+        the C-ordered cell indices cells."""
+        if len(p) == 0:
+            raise ValueError("support must be nonempty")
+        grid = copy.copy(self)
+        grid._set_support(cells, p / p.sum())
+        return grid
+
+    def _set_axes(self, n, N, x_max, v_max) -> None:
         if n not in (1, 2):
             raise ValueError("n must be 1 or 2")
         if N < 3 or N % 2 == 0:
@@ -181,12 +190,16 @@ class ProbGrid:
         self.N = N
         self.x_max = x_max
         self.v_max = v_max
-        self.cells = cells
-        self.p = p
         self.x_axis = np.linspace(-x_max, x_max, N)
         self.v_axis = np.linspace(-v_max, v_max, N)
-        for a in (cells, p, self.x_axis, self.v_axis):
-            a.setflags(write=False)
+        self.x_axis.setflags(write=False)
+        self.v_axis.setflags(write=False)
+
+    def _set_support(self, cells, p) -> None:
+        self.cells = cells
+        self.p = p
+        cells.setflags(write=False)
+        p.setflags(write=False)
 
     @property
     def values(self) -> np.ndarray:
@@ -203,6 +216,12 @@ class ProbGrid:
     def v_step(self) -> float:
         return 2.0 * self.v_max / (self.N - 1)
 
+    def nearest(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Indices of the cells nearest positions x and velocities v, both
+        (..., n), as unclipped floats (..., 2n) in axis order."""
+        return np.concatenate([np.rint((x + self.x_max) / self.x_step),
+                               np.rint((v + self.v_max) / self.v_step)], axis=-1)
+
     def support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(positions (M,n), velocities (M,n), probabilities (M,))."""
         return self.x_axis[self.cells[:, :self.n]], self.v_axis[self.cells[:, self.n:]], self.p
@@ -211,21 +230,20 @@ class ProbGrid:
     def delta(cls, n: int, N: int, x_max: float, v_max: float,
               x, v) -> "ProbGrid":
         """Point mass at the cell nearest (x, v)."""
-        xi = np.clip(np.rint((np.atleast_1d(x) + x_max) / (2 * x_max / (N - 1))), 0, N - 1)
-        vi = np.clip(np.rint((np.atleast_1d(v) + v_max) / (2 * v_max / (N - 1))), 0, N - 1)
-        cell = np.concatenate([xi, vi]).astype(int).reshape(1, 2 * n)
-        return cls._from_support(n, N, x_max, v_max, cell, np.ones(1))
+        grid = cls._on_axes(n, N, x_max, v_max)
+        cell = np.clip(grid.nearest(np.atleast_1d(x), np.atleast_1d(v)), 0, N - 1)
+        return grid._with_support(cell.astype(int).reshape(1, 2 * n), np.ones(1))
 
     @classmethod
     def box(cls, n: int, N: int, x_max: float, v_max: float,
             x_lo, x_hi, v_lo, v_hi) -> "ProbGrid":
         """Uniform mass over cells inside the given position/velocity ranges."""
+        grid = cls._on_axes(n, N, x_max, v_max)
         x_lo = np.broadcast_to(np.atleast_1d(np.asarray(x_lo, float)), (n,))
         x_hi = np.broadcast_to(np.atleast_1d(np.asarray(x_hi, float)), (n,))
         v_lo = np.broadcast_to(np.atleast_1d(np.asarray(v_lo, float)), (n,))
         v_hi = np.broadcast_to(np.atleast_1d(np.asarray(v_hi, float)), (n,))
-        ax = np.linspace(-x_max, x_max, N)
-        av = np.linspace(-v_max, v_max, N)
+        ax, av = grid.x_axis, grid.v_axis
         masks = []
         for d in range(n):
             masks.append((ax >= x_lo[d] - 1e-12) & (ax <= x_hi[d] + 1e-12))
@@ -234,7 +252,7 @@ class ProbGrid:
         # the product of the per-axis index sets, in C order
         mesh = np.meshgrid(*[np.flatnonzero(mk) for mk in masks], indexing="ij")
         cells = np.column_stack([m.ravel() for m in mesh])
-        return cls._from_support(n, N, x_max, v_max, cells, np.ones(len(cells)))
+        return grid._with_support(cells, np.ones(len(cells)))
 
 
 # --- plate-frame kinematics and dynamics ----------------------------------
@@ -354,6 +372,13 @@ def clf_value(grid: ProbGrid, plate: PlateState, model: EnergyModel, k_S: float)
 _QUAD_OFFSETS = np.arange(-3.0, 4.0)
 _QUAD_W = np.exp(-0.5 * _QUAD_OFFSETS**2)
 _QUAD_W = _QUAD_W / _QUAD_W.sum()
+# tensor-product rule per plate dimension n: node offsets (7^n, n) and
+# weights (7^n,), in C order over the dimensions
+_QUAD_RULES = {
+    n: (np.stack(np.meshgrid(*[_QUAD_OFFSETS] * n, indexing="ij"), axis=-1).reshape(-1, n),
+        functools.reduce(np.multiply.outer, [_QUAD_W] * n).ravel())
+    for n in (1, 2)
+}
 
 
 def propagate_prob(
@@ -374,7 +399,6 @@ def propagate_prob(
     """
     n, N = grid.n, grid.N
     xs, vs, ps = grid.support()
-    M = xs.shape[0]
     _, _, a_eff = plate_frame_accels(plate)
     k = ball.kappa
     T = _inplane_jacobian(plate)
@@ -385,35 +409,26 @@ def propagate_prob(
     sig = np.sqrt(var)
     mu = drive[None, :] - ball.mu_r * vs  # (M, n)
 
-    # quadrature node accelerations: (M, 7^n, n)
-    if n == 1:
-        nodes = mu[:, None, :] + _QUAD_OFFSETS[None, :, None] * sig[:, None, :]
-        wts = np.broadcast_to(_QUAD_W[None, :], (M, 7))
-    else:
-        o1, o2 = np.meshgrid(_QUAD_OFFSETS, _QUAD_OFFSETS, indexing="ij")
-        offs = np.column_stack([o1.ravel(), o2.ravel()])  # (49, 2)
-        nodes = mu[:, None, :] + offs[None, :, :] * sig[:, None, :]
-        w1, w2 = np.meshgrid(_QUAD_W, _QUAD_W, indexing="ij")
-        wts = np.broadcast_to((w1 * w2).ravel()[None, :], (M, 49))
+    offs, wts = _QUAD_RULES[n]
+    nodes = mu[:, None, :] + offs[None, :, :] * sig[:, None, :]  # (M, 7^n, n)
 
     v_new = vs[:, None, :] + nodes * dt  # (M, Q, n)
     x_new = np.broadcast_to(xs[:, None, :] + vs[:, None, :] * dt, v_new.shape)
-    xi = np.rint((x_new + grid.x_max) / grid.x_step)
-    vi = np.rint((v_new + grid.v_max) / grid.v_step)
-    ok = np.all((xi >= 0) & (xi <= N - 1) & (vi >= 0) & (vi <= N - 1), axis=2)
-    mass = ps[:, None] * wts
+    idx = grid.nearest(x_new, v_new)
+    ok = np.all((idx >= 0) & (idx <= N - 1), axis=2)
+    mass = ps[:, None] * wts[None, :]
     lost = float(mass[~ok].sum())
     if lost >= 1.0 - 1e-12:
         raise AllMassLost("all probability mass left the state box")
 
     # bincount sums the deposits of each destination cell in input order
     shape = (N,) * (2 * n)
-    lin = np.ravel_multi_index(np.concatenate([xi[ok], vi[ok]], axis=1).astype(int).T, shape)
+    lin = np.ravel_multi_index(idx[ok].astype(int).T, shape)
     keys, inv = np.unique(lin, return_inverse=True)
     cell_mass = np.bincount(inv, weights=mass[ok])
     keep = cell_mass >= 1e-3 * cell_mass.max()
     cells = np.column_stack(np.unravel_index(keys[keep], shape))
-    out = ProbGrid._from_support(n, N, grid.x_max, grid.v_max, cells, cell_mass[keep])
+    out = grid._with_support(cells, cell_mass[keep])
     return out, lost
 
 
@@ -505,8 +520,9 @@ def dynamic_control(
 
     At each step the barrier/Lyapunov QP (with rate and slew bounds) picks
     the tilt rate and ``ball_step`` advances the tilt and the belief. Failure
-    is declared when the QP is infeasible, the tilt would leave its range, or
-    the maximum supported energy exceeds the escape level.
+    is declared when the QP is infeasible, the tilt would leave its range,
+    the maximum supported energy exceeds the escape level, or a probe or the
+    step loses all the belief mass (``AllMassLost``).
     """
     n = initial.n
     traj = np.atleast_2d(np.asarray(trajectory, dtype=float))
@@ -523,48 +539,59 @@ def dynamic_control(
     result = VerificationResult(True)
     for t in range(T):
         plate = PlateState(n, initial.x_max, tilt, accels[t])
-        Lf_h, Lg_h, Lf_V, Lg_V = lie_derivatives(grid, plate, ball, unc, model, params)
         h = cbf_value(grid, plate, model)
         V = clf_value(grid, plate, model, params.k_S)
-        lo = np.maximum(params.dtheta_min, prev_u - beta * dt)
-        hi = np.minimum(params.dtheta_max, prev_u + beta * dt)
-        # fold the tilt range into the rate box so the plate never leaves it:
-        # one-step reachability plus a braking bound so the rate can always
-        # be slewed to zero before the range boundary
-        room_hi = np.maximum(0.0, params.tilt_max - tilt)
-        room_lo = np.maximum(0.0, params.tilt_max + tilt)
-        if beta > 0:
-            cap_hi = beta * (-dt + np.sqrt(dt * dt + 2.0 * room_hi / beta))
-            cap_lo = beta * (-dt + np.sqrt(dt * dt + 2.0 * room_lo / beta))
-            lo = np.maximum(lo, -cap_lo)
-            hi = np.minimum(hi, cap_hi)
-        sol = None
-        if not np.any(lo >= hi):
-            sol = qpmod.solve(
-                qpmod.CbfClfQP(
-                    n=n, Lf_h=Lf_h, Lg_h=Lg_h, alpha_h=params.gamma * h,
-                    Lf_V=Lf_V, Lg_V=Lg_V, cV=params.c * V, lam=params.lam,
-                    lo=lo, hi=hi,
+        u = np.zeros(n)
+        failed = None
+        try:
+            Lf_h, Lg_h, Lf_V, Lg_V = lie_derivatives(grid, plate, ball, unc, model, params)
+            lo = np.maximum(params.dtheta_min, prev_u - beta * dt)
+            hi = np.minimum(params.dtheta_max, prev_u + beta * dt)
+            # fold the tilt range into the rate box so the plate never leaves it:
+            # one-step reachability plus a braking bound so the rate can always
+            # be slewed to zero before the range boundary
+            room_hi = np.maximum(0.0, params.tilt_max - tilt)
+            room_lo = np.maximum(0.0, params.tilt_max + tilt)
+            if beta > 0:
+                cap_hi = beta * (-dt + np.sqrt(dt * dt + 2.0 * room_hi / beta))
+                cap_lo = beta * (-dt + np.sqrt(dt * dt + 2.0 * room_lo / beta))
+                lo = np.maximum(lo, -cap_lo)
+                hi = np.minimum(hi, cap_hi)
+            sol = None
+            if not np.any(lo >= hi):
+                sol = qpmod.solve(
+                    qpmod.CbfClfQP(
+                        n=n, Lf_h=Lf_h, Lg_h=Lg_h, alpha_h=params.gamma * h,
+                        Lf_V=Lf_V, Lg_V=Lg_V, cV=params.c * V, lam=params.lam,
+                        lo=lo, hi=hi,
+                    )
                 )
-            )
-        u = sol.dtheta if sol is not None and sol.feasible else np.zeros(n)
-        if sol is None or not sol.feasible or np.any(np.abs(tilt + u * dt) >= math.pi / 2):
+            u = sol.dtheta if sol is not None and sol.feasible else np.zeros(n)
+            if sol is None or not sol.feasible or np.any(np.abs(tilt + u * dt) >= math.pi / 2):
+                failed = FailureReason.InfeasibleAction
+            else:
+                grid, tilt, record = ball_step(grid, tilt, u, accels[t], ball, unc, model, dt)
+        except AllMassLost:  # from a probe or the step
+            failed = FailureReason.AllMassLost
+        if failed is not None:
             # the step is not taken: report the cage at the current state
-            failed = FailureReason.InfeasibleAction
             record = {"E_max": e_max(plate, model), "max_E": max_energy(grid, plate, model),
                       "lost_mass": 0.0, "contained": False}
         else:
-            grid, tilt, record = ball_step(grid, tilt, u, accels[t], ball, unc, model, dt)
             if record["lost_mass"] > 1e-3:
                 log.warn(f"step {t}: lost_mass {record['lost_mass']:.4g} exceeds 1e-3")
-            failed = None if record["contained"] else FailureReason.EscapedCage
+            if not record["contained"]:
+                failed = FailureReason.EscapedCage
         record.update(
             t=t, action={"dtheta": u.tolist()}, pss_cells=len(grid.p),
             cage_center=traj[t + 1, :n].tolist(), h=h, V=V, entropy=entropy(grid),
             dtheta=u.tolist(), tilt=tilt.tolist(),
         )
         log.add(record)
-        steps.append(TiltRate.of(u))
+        if failed is not FailureReason.AllMassLost:
+            # no replay can take a step that loses all the mass, so the plan
+            # ends before it; its record stays in the log
+            steps.append(TiltRate.of(u))
         if failed is not None:
             result = VerificationResult(False, t, failed)
             break

@@ -17,7 +17,7 @@ import numpy as np
 from . import ball as ballmod
 from . import oracle as oraclemod
 from .config import BadSpec, RunConfig, ball_trajectory, load_config, push_trajectory
-from .core import AllMassLost, CageCircle, PushAngle, Vec2, action_to_json
+from .core import CageCircle, PushAngle, Vec2, action_to_json
 from .push import PushProblem, initial_set, plan_push, push_step, pusher_pose
 from .render import render_prob_frame, render_push_frame
 from .trajectories import as_vec2_list
@@ -146,14 +146,10 @@ def run_ball(cfg: RunConfig) -> int:
     traj = ball_trajectory(raw, setup.params.dt, setup.grid.n)
     if traj is None:
         traj = setup.trajectory(float(raw["trajectory"].get("horizon_s", 3.0)))
-    try:
-        plan, result, log = ballmod.dynamic_control(
-            setup.grid, traj, setup.ball, setup.unc, setup.model, setup.params,
-            setup.initial_tilt,
-        )
-    except AllMassLost as e:
-        print(f"planning failed: {e}")
-        return 2
+    plan, result, log = ballmod.dynamic_control(
+        setup.grid, traj, setup.ball, setup.unc, setup.model, setup.params,
+        setup.initial_tilt,
+    )
     _print_warnings(log)
     os.makedirs(cfg.out_dir, exist_ok=True)
     _write_plan(os.path.join(cfg.out_dir, "plan.json"), plan)

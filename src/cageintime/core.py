@@ -96,12 +96,17 @@ class PSSGrid:
     def count(self) -> int:
         return int(self.cells.sum())
 
-    def occupied_world(self) -> np.ndarray:
-        """World-frame coordinates of occupied cell centers, shape (M, 2)."""
-        ii, jj = np.nonzero(self.cells)
+    def world(self, ii: np.ndarray, jj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """World-frame coordinates (x, y) of the cell centers at row indices
+        ii and column indices jj, each shaped like them. Indices outside the
+        window map by the same rule."""
         x = self.frame_center.x + (jj - (self.width - 1) / 2.0) * self.resolution
         y = self.frame_center.y + (ii - (self.height - 1) / 2.0) * self.resolution
-        return np.column_stack([x, y])
+        return x, y
+
+    def occupied_world(self) -> np.ndarray:
+        """World-frame coordinates of occupied cell centers, shape (M, 2)."""
+        return np.column_stack(self.world(*np.nonzero(self.cells)))
 
     @classmethod
     def from_points(
@@ -165,6 +170,7 @@ Action = NoAction | PushAngle | TiltRate
 class FailureReason(enum.Enum):
     InfeasibleAction = "InfeasibleAction"
     EscapedCage = "EscapedCage"
+    AllMassLost = "AllMassLost"
 
 
 @dataclass(frozen=True)

@@ -82,15 +82,6 @@ class PushProblem:
         n = math.ceil(2.0 * (self.R + self.d_push + 10.0) / self.resolution)
         return n + 1 if n % 2 == 0 else n
 
-    def check_spacing(self) -> None:
-        limit = self.cage_size / 2.0
-        for a, b in zip(self.trajectory[:-1], self.trajectory[1:]):
-            if (b - a).norm() > limit + 1e-9:
-                raise WaypointSpacingTooLarge(
-                    f"waypoint spacing {(b - a).norm():.3f} mm exceeds "
-                    f"cage_size/2 = {limit:.3f} mm"
-                )
-
 
 @dataclass(frozen=True)
 class PusherPose:
@@ -192,12 +183,13 @@ def propagate_pss(
     problem: PushProblem,
 ) -> PSSGrid:
     """One planning step: re-center the grid on the next cage center and,
-    for a push at angle ``action``, replace every occupied cell by the union
-    of its semi-ellipse displacements, then cut cells whose bounding circle
+    for a push at angle ``action``, add to every contacted cell the union of
+    its semi-ellipse displacements, then cut cells whose bounding circle
     would penetrate the pusher's final pose.
 
     The frame shift is snapped to whole pixels and the residual kept in
-    frame_center, so cell world positions are exact across steps.
+    frame_center, so cell world positions are exact across steps. A cell
+    the shift moves out of the window is dropped.
     """
     if pss.is_empty:
         raise EmptyResult("cannot propagate an empty PSS")
@@ -209,31 +201,25 @@ def propagate_pss(
     new_center = Vec2(pss.frame_center.x + sj * rho, pss.frame_center.y + si * rho)
 
     ii, jj = np.nonzero(pss.cells)
-    ii = ii - si
-    jj = jj - sj
-
+    ii, jj = ii - si, jj - sj
+    inside = (ii >= 0) & (ii < h) & (jj >= 0) & (jj < w)
+    ii, jj = ii[inside], jj[inside]
+    cells = np.zeros((h, w), dtype=bool)
+    cells[ii, jj] = True
+    moved = PSSGrid(cells=cells, resolution=rho, frame_center=new_center)
     if action is None:
-        cells = np.zeros((h, w), dtype=bool)
-        keep = (ii >= 0) & (ii < h) & (jj >= 0) & (jj < w)
-        cells[ii[keep], jj[keep]] = True
-        return PSSGrid(cells=cells, resolution=rho, frame_center=new_center)
+        return moved
 
     theta = float(action)
     start = pusher_pose(cage_center_next, problem.R, theta, problem.pusher_length / 2.0)
     final = start.advanced(problem.d_push)
-
-    x = new_center.x + (jj - (w - 1) / 2.0) * rho
-    y = new_center.y + (ii - (h - 1) / 2.0) * rho
-    dist = segment_distance(np.column_stack([x, y]), start)
-
-    cells = np.zeros((h, w), dtype=bool)
-    untouched = dist > problem.object_radius + problem.d_push
-    cells[ii[untouched], jj[untouched]] = True
-
-    ci, cj = ii[~untouched], jj[~untouched]
-    if ci.size:
-        d_con = problem.d_push - np.maximum(0.0, dist[~untouched] - problem.object_radius)
-        d_con = np.clip(d_con, 0.0, problem.d_push)
+    r = problem.object_radius
+    dist = segment_distance(np.column_stack(moved.world(ii, jj)), start)
+    contact = dist <= r + problem.d_push
+    cells = moved.cells.copy()
+    if contact.any():
+        # travel after first contact, in [0, d_push] for every contacted cell
+        d_con = problem.d_push - np.maximum(0.0, dist[contact] - r)
         odi, odj, ow = _candidate_offsets(problem.d_push, rho)
         d = start.direction
         u = ow[:, 0] * d.x + ow[:, 1] * d.y  # along the push direction
@@ -241,14 +227,12 @@ def propagate_pss(
         a = d_con[:, None]
         b = a / 2.0
         with np.errstate(divide="ignore", invalid="ignore"):
-            inside = (u[None, :] >= -1e-12) & (
+            reach = (u[None, :] >= -1e-12) & (
                 u[None, :] ** 2 / a**2 + v[None, :] ** 2 / b**2 <= 1.0 + 1e-12
             )
-        zero = (odi == 0) & (odj == 0)
-        inside |= zero[None, :]
-        pair_c, pair_o = np.nonzero(inside)
-        ni = ci[pair_c] + odi[pair_o]
-        nj = cj[pair_c] + odj[pair_o]
+        pair_c, pair_o = np.nonzero(reach)
+        ni = ii[contact][pair_c] + odi[pair_o]
+        nj = jj[contact][pair_c] + odj[pair_o]
         keep = (ni >= 0) & (ni < h) & (nj >= 0) & (nj < w)
         cells[ni[keep], nj[keep]] = True
 
@@ -257,14 +241,10 @@ def propagate_pss(
     # rotation beta can deviate from pi/2 by at most d_push/(2r) under the
     # friction bound, so anything closer than r*cos(d_push/2r) is impossible
     # (one extra pixel of slack for rasterization).
-    r = problem.object_radius
     r_pen = r * math.cos(min(math.pi / 2.0, problem.d_push / (2.0 * r))) - rho
     oi, oj = np.nonzero(cells)
-    ox = new_center.x + (oj - (w - 1) / 2.0) * rho
-    oy = new_center.y + (oi - (h - 1) / 2.0) * rho
-    pen = segment_distance(np.column_stack([ox, oy]), final) < r_pen
-    if pen.any():
-        cells[oi[pen], oj[pen]] = False
+    pen = segment_distance(np.column_stack(moved.world(oi, oj)), final) < r_pen
+    cells[oi[pen], oj[pen]] = False
     if not cells.any():
         raise EmptyResult("penetration cut removed every propagated cell")
     return PSSGrid(cells=cells, resolution=rho, frame_center=new_center)
@@ -289,29 +269,24 @@ def heuristic_score(
     lambda1: float,
     lambda2: float,
     R: float,
-    half_length: float,
 ) -> float:
     """Outlier score for one candidate angle.
 
-    S_out is the POA area strictly beyond the candidate pusher line (the far
-    side from the cage center), d_out the largest perpendicular distance of
-    a POA cell past that line. Both are normalized (by cage area and cage
-    radius) before weighting.
+    The candidate pusher line is tangent to the circle of radius R around
+    the cage center at angle theta_k, with outward normal (cos, sin) of
+    theta_k. S_out is the POA area strictly beyond that line (the far side
+    from the cage center), d_out the largest perpendicular distance of a POA
+    cell past it. Both are normalized (by cage area and cage radius) before
+    weighting.
     """
-    pose = pusher_pose(cage_next.center, R, theta_k, half_length)
-    ii, jj = np.nonzero(poa.cells)
-    if ii.size == 0:
-        return 0.0
-    h, w = poa.cells.shape
-    rho = poa.resolution
-    x = poa.frame_center.x + (jj - (w - 1) / 2.0) * rho
-    y = poa.frame_center.y + (ii - (h - 1) / 2.0) * rho
-    # outward normal of the pusher line
-    nx, ny = -pose.direction.x, -pose.direction.y
-    s = (x - pose.center.x) * nx + (y - pose.center.y) * ny
+    nx, ny = math.cos(theta_k), math.sin(theta_k)
+    px, py = cage_next.center.x + R * nx, cage_next.center.y + R * ny
+    x, y = poa.world(*np.nonzero(poa.cells))
+    s = (x - px) * nx + (y - py) * ny
     out = s > 1e-9
     if not out.any():
         return 0.0
+    rho = poa.resolution
     s_out = float(out.sum()) * rho * rho
     d_out = float(s[out].max())
     cage_area = math.pi * cage_next.radius**2
@@ -345,10 +320,7 @@ def find_push(
     score_R = cage_next.radius + problem.object_radius
     scores = np.array(
         [
-            heuristic_score(
-                poa, th, cage_next, problem.lambda1, problem.lambda2,
-                score_R, problem.pusher_length / 2.0,
-            )
+            heuristic_score(poa, th, cage_next, problem.lambda1, problem.lambda2, score_R)
             for th in thetas
         ]
     )
@@ -376,16 +348,17 @@ def planning_cage(problem: PushProblem, center: Vec2) -> CageCircle:
     return CageCircle(center, problem.cage_size - problem.margin)
 
 
-def trigger_cage(problem: PushProblem, center: Vec2) -> CageCircle:
+def trigger_cage(problem: PushProblem, center: Vec2, spacing: float) -> CageCircle:
     """Inner circle whose violation triggers a push.
 
-    Tighter than the containment cage by the waypoint spacing: a cell is
+    Tighter than the containment cage by the largest waypoint spacing
+    (``max_spacing``, scanned once per plan by the caller): a cell is
     pushed before it can drift past the containment radius, and no cell can
     be deeper than cage_size from the next waypoint when the pusher is
     placed (the motion bound assumes contact happens during the push, not
     at placement).
     """
-    radius = problem.cage_size - problem.margin - max_spacing(problem)
+    radius = problem.cage_size - problem.margin - spacing
     radius = max(radius, 2.0 * problem.resolution)
     return CageCircle(center, radius)
 
@@ -428,7 +401,12 @@ def plan_push(
     """
     if len(problem.trajectory) < 1:
         raise ValueError("trajectory must have at least one waypoint")
-    problem.check_spacing()
+    spacing = max_spacing(problem)
+    if spacing > problem.cage_size / 2.0 + 1e-9:
+        raise WaypointSpacingTooLarge(
+            f"waypoint spacing {spacing:.3f} mm exceeds "
+            f"cage_size/2 = {problem.cage_size / 2.0:.3f} mm"
+        )
     if (initial_position - problem.trajectory[0]).norm() > problem.cage_size:
         raise ValueError("initial position lies outside the first cage")
     pss = initial_set(problem, initial_position)
@@ -436,10 +414,8 @@ def plan_push(
     steps: list = []
     prev_theta: Optional[float] = None
     result = VerificationResult(True)
-    # the trigger radius scans the whole trajectory, so it is taken once per plan
-    trigger_radius = trigger_cage(problem, problem.trajectory[0]).radius
     for t in range(len(problem.trajectory) - 1):
-        trigger = CageCircle(problem.trajectory[t + 1], trigger_radius)
+        trigger = trigger_cage(problem, problem.trajectory[t + 1], spacing)
         push = find_push(pss, problem, trigger, prev_theta)
         action = NoAction() if push is None else push
         steps.append(action)

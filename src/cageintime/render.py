@@ -37,14 +37,6 @@ class FrameImage:
             fh.write(self.pgm_bytes())
 
 
-def _world_coords(grid_shape, resolution, frame_center):
-    h, w = grid_shape
-    jj, ii = np.meshgrid(np.arange(w), np.arange(h))
-    x = frame_center.x + (jj - (w - 1) / 2.0) * resolution
-    y = frame_center.y + (ii - (h - 1) / 2.0) * resolution
-    return x, y
-
-
 def render_push_frame(
     pss: PSSGrid,
     cage: CageCircle,
@@ -54,7 +46,7 @@ def render_push_frame(
     """Draw the cage ring, the area possibly covered by the object, the
     state set itself, and (if given) the pusher segment."""
     img = np.zeros(pss.cells.shape, dtype=np.uint8)
-    x, y = _world_coords(pss.cells.shape, pss.resolution, pss.frame_center)
+    x, y = pss.world(*np.indices(img.shape))
     d = np.hypot(x - cage.center.x, y - cage.center.y)
     img[np.abs(d - cage.radius) <= pss.resolution] = GRAY_CAGE
     if pose is not None:

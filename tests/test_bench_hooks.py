@@ -8,6 +8,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -34,3 +36,15 @@ def test_every_workload_builds():
     tasks = load("tasks")
     for workload, entries in tasks.WORKLOADS.items():
         assert len(tasks.build(workload)) == len(entries)
+
+
+# push_lemniscate_long is left out: its 1600-step plan is the benchmark's slowest
+@pytest.mark.parametrize("workload", ["push_circle", "ball_line", "ball_square"])
+def test_plans_match_reference(workload):
+    tasks = load("tasks")
+    reference = tasks.load_reference()
+    for task in tasks.build(workload):
+        plan, verdict = task.plan()
+        ref = reference[task.name]
+        assert task.same_plan(task.record(plan), ref["plan"]), task.name
+        assert tasks._verdict(verdict) == ref["planner"], task.name

@@ -177,7 +177,14 @@ class TestBallCommand:
         path = write_config(tmp_path, "c.yaml", doc)
         assert cli.main(["ball", "--config", path]) == 2
         stdout = capsys.readouterr().out
-        assert "planning failed: all probability mass left the state box" in stdout
+        prefix = "planning failed at step "
+        assert stdout.startswith(prefix) and "AllMassLost" in stdout
+        step = int(stdout[len(prefix):].split(":")[0])
+        lines = (tmp_path / "out" / "runlog.jsonl").read_text().splitlines()
+        assert [json.loads(line)["t"] for line in lines] == list(range(step + 1))
+        # the plan ends before the step that lost the mass
+        plan = json.loads((tmp_path / "out" / "plan.json").read_text())
+        assert len(plan) == step
 
     def test_trials_flag_overrides_rollouts(self, tmp_path):
         out = str(tmp_path / "out")

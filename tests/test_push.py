@@ -77,8 +77,10 @@ class TestPushProblem:
     def test_spacing_check(self):
         prob = small_problem(trajectory=(Vec2(0.0, 0.0), Vec2(30.0, 0.0)))
         with pytest.raises(WaypointSpacingTooLarge):
-            prob.check_spacing()
-        small_problem().check_spacing()
+            plan_push(prob, prob.trajectory[0])
+        # cage_size/2 itself is allowed
+        prob = small_problem(trajectory=(Vec2(0.0, 0.0), Vec2(10.0, 0.0)))
+        plan_push(prob, prob.trajectory[0])
 
     def test_standoff_radius(self):
         assert small_problem().R == 45.0  # cage_size + object_radius
@@ -183,6 +185,19 @@ class TestPropagatePSS:
         assert before == after  # same world cells, re-centered frame
         assert out.frame_center == Vec2(7.0, -4.0)
 
+    def test_push_drops_cell_leaving_window(self):
+        # the re-centering moves the top-row cell out of the window: it is
+        # dropped, not wrapped onto the bottom row
+        prob = small_problem()
+        n = prob.grid_size
+        cells = np.zeros((n, n), dtype=bool)
+        cells[0, n // 2] = True
+        cells[n // 2, n // 2] = True
+        g = PSSGrid(cells=cells, resolution=1.0, frame_center=Vec2(0.0, 0.0))
+        out = propagate_pss(g, 0.0, Vec2(0.0, 1.0), prob)
+        assert not out.cells[-1].any()
+        assert (0.0, 0.0) in set(map(tuple, out.occupied_world()))
+
     def test_push_output_in_motion_set(self):
         prob = small_problem()
         q = Vec2(10.0, 0.0)
@@ -285,7 +300,7 @@ class TestPlanProperties:
         prob = small_problem()
         g = PSSGrid.from_points(np.zeros((1, 2)), 1.0, Vec2(0.0, 0.0),
                                 (prob.grid_size,) * 2)
-        cage = trigger_cage(prob, Vec2(0.0, 0.0))
+        cage = trigger_cage(prob, Vec2(0.0, 0.0), push_module.max_spacing(prob))
         assert contains_geometric(g, cage)
         assert find_push(g, prob, cage, None) is None
 
