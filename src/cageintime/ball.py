@@ -14,7 +14,7 @@ from __future__ import annotations
 import copy
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import ClassVar, Optional, Sequence
 
 import numpy as np
@@ -282,27 +282,27 @@ def _inplane_jacobian(plate: PlateState) -> np.ndarray:
 
 
 def accel_distribution(
-    x: np.ndarray,
     v: np.ndarray,
     plate: PlateState,
     ball: BallParams,
     unc: UncertaintyModel,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gaussian ball acceleration (mean, covariance) at one state.
+    """Gaussian ball acceleration at velocities v (..., n): mean (..., n) and
+    covariance (..., n, n). The position does not enter.
 
     Mean is the noise-free dynamics; covariance is first-order propagation
     of the mass, plate-acceleration, and friction noise channels.
     """
-    v = np.asarray(v, dtype=float).reshape(plate.n)
+    v = np.asarray(v, dtype=float)
     _, _, a_eff = plate_frame_accels(plate)
     k = ball.kappa
-    mu = k * a_eff - ball.mu_r * v
     drive = k * a_eff  # sensitivity to relative mass error
+    mu = drive - ball.mu_r * v
     T = _inplane_jacobian(plate)
     Sigma = (
         unc.sigma_m**2 * np.outer(drive, drive)
-        + k**2 * T @ unc.Sigma_p @ T.T
-        + unc.sigma_mu**2 * np.outer(v, v)
+        + k**2 * (T @ unc.Sigma_p @ T.T)
+        + unc.sigma_mu**2 * (v[..., :, None] * v[..., None, :])
     )
     return mu, Sigma
 
@@ -383,7 +383,6 @@ _QUAD_RULES = {
 
 def propagate_prob(
     grid: ProbGrid,
-    u: TiltRate,
     plate: PlateState,
     ball: BallParams,
     unc: UncertaintyModel,
@@ -392,22 +391,16 @@ def propagate_prob(
     """One belief step under the already-advanced plate state.
 
     Each supported cell spreads its mass over a 7-node-per-dimension
-    deterministic quadrature of its Gaussian acceleration, deposited at the
+    deterministic quadrature of its Gaussian acceleration (the mean and the
+    diagonal of the covariance from ``accel_distribution``), deposited at the
     nearest destination cell of one Euler step. Mass leaving the box is
     returned as lost_mass; cells below 1e-3 of the peak are pruned before
     renormalizing.
     """
     n, N = grid.n, grid.N
     xs, vs, ps = grid.support()
-    _, _, a_eff = plate_frame_accels(plate)
-    k = ball.kappa
-    T = _inplane_jacobian(plate)
-    # diagonal acceleration variance per cell and dimension
-    drive = k * a_eff
-    base_var = unc.sigma_m**2 * drive**2 + k**2 * np.diag(T @ unc.Sigma_p @ T.T)
-    var = base_var[None, :] + unc.sigma_mu**2 * vs**2  # (M, n)
-    sig = np.sqrt(var)
-    mu = drive[None, :] - ball.mu_r * vs  # (M, n)
+    mu, Sigma = accel_distribution(vs, plate, ball, unc)  # (M, n), (M, n, n)
+    sig = np.sqrt(np.diagonal(Sigma, axis1=-2, axis2=-1))
 
     offs, wts = _QUAD_RULES[n]
     nodes = mu[:, None, :] + offs[None, :, :] * sig[:, None, :]  # (M, 7^n, n)
@@ -442,22 +435,21 @@ def lie_derivatives(
     unc: UncertaintyModel,
     model: EnergyModel,
     params: ControlParams,
+    h: float,
+    V: float,
 ) -> tuple[float, np.ndarray, float, np.ndarray]:
-    """Numerical (Lf_h, Lg_h, Lf_V, Lg_V) via one-step belief probes."""
+    """Numerical (Lf_h, Lg_h, Lf_V, Lg_V) from the current barrier h and
+    Lyapunov value V and 2n+1 one-step ``ball_step`` probes."""
     n = plate.n
     dt, eps = params.dt, params.eps
 
     def phi(u: np.ndarray) -> tuple[float, float]:
-        tilt = plate.tilt + u * dt
-        p2 = PlateState(n, plate.half_length, tilt, plate.accel)
-        g2, _ = propagate_prob(grid, TiltRate.of(u), p2, ball, unc, dt)
-        return cbf_value(g2, p2, model), clf_value(g2, p2, model, params.k_S)
+        g2, p2, record = ball_step(grid, plate, u, ball, unc, model, dt)
+        return record["E_max"] - record["max_E"], clf_value(g2, p2, model, params.k_S)
 
-    h_now = cbf_value(grid, plate, model)
-    V_now = clf_value(grid, plate, model, params.k_S)
     h0, V0 = phi(np.zeros(n))
-    Lf_h = (h0 - h_now) / dt
-    Lf_V = (V0 - V_now) / dt
+    Lf_h = (h0 - h) / dt
+    Lf_V = (V0 - V) / dt
     Lg_h = np.zeros(n)
     Lg_V = np.zeros(n)
     for d in range(n):
@@ -484,27 +476,25 @@ def trajectory_accels(positions: np.ndarray, dt: float) -> np.ndarray:
 
 def ball_step(
     grid: ProbGrid,
-    tilt: np.ndarray,
+    plate: PlateState,
     u,
-    accel: np.ndarray,
     ball: BallParams,
     unc: UncertaintyModel,
     model: EnergyModel,
     dt: float,
-) -> tuple[ProbGrid, np.ndarray, dict]:
-    """The ball step kernel of the planner, the verifier replay and the
-    renderer: advance the tilt by the rate u over dt, propagate the belief
-    under world plate acceleration ``accel``, and check the worst supported
-    energy against the escape level. The record holds these cage terms only.
+) -> tuple[ProbGrid, PlateState, dict]:
+    """The ball step kernel of the planner, its Lie-derivative probes, the
+    verifier replay and the renderer: advance the plate's tilt by the rate u
+    over dt, holding its acceleration, propagate the belief under the new
+    plate, and check the worst supported energy against the escape level.
+    Returns the new belief, the new plate and a record of these cage terms.
     """
-    u = np.asarray(u, dtype=float)
-    tilt = tilt + u * dt
-    plate = PlateState(grid.n, grid.x_max, tilt, accel)
-    grid, lost = propagate_prob(grid, TiltRate.of(u), plate, ball, unc, dt)
+    plate = replace(plate, tilt=plate.tilt + np.asarray(u, dtype=float) * dt)
+    grid, lost = propagate_prob(grid, plate, ball, unc, dt)
     emax = e_max(plate, model)
     maxE = max_energy(grid, plate, model)
     record = {"E_max": emax, "max_E": maxE, "lost_mass": lost, "contained": bool(maxE < emax)}
-    return grid, tilt, record
+    return grid, plate, record
 
 
 def dynamic_control(
@@ -522,7 +512,9 @@ def dynamic_control(
     the tilt rate and ``ball_step`` advances the tilt and the belief. Failure
     is declared when the QP is infeasible, the tilt would leave its range,
     the maximum supported energy exceeds the escape level, or a probe or the
-    step loses all the belief mass (``AllMassLost``).
+    step loses all the belief mass (``AllMassLost``). The plan holds exactly
+    the steps taken: it ends before a step that fails with
+    ``InfeasibleAction`` or ``AllMassLost`` and includes one that escapes.
     """
     n = initial.n
     traj = np.atleast_2d(np.asarray(trajectory, dtype=float))
@@ -530,7 +522,7 @@ def dynamic_control(
         raise ValueError(f"trajectory must have {n + 1} columns for n={n}")
     T = traj.shape[0] - 1
     accels = trajectory_accels(traj, params.dt)
-    tilt = np.asarray(initial_tilt, float).reshape(n)
+    plate = PlateState(n, initial.x_max, initial_tilt, accels[0])
     grid = initial
     prev_u = np.zeros(n)
     beta, dt = params.beta_max, params.dt
@@ -538,20 +530,20 @@ def dynamic_control(
     steps: list = []
     result = VerificationResult(True)
     for t in range(T):
-        plate = PlateState(n, initial.x_max, tilt, accels[t])
+        plate = replace(plate, accel=accels[t])
         h = cbf_value(grid, plate, model)
         V = clf_value(grid, plate, model, params.k_S)
         u = np.zeros(n)
         failed = None
         try:
-            Lf_h, Lg_h, Lf_V, Lg_V = lie_derivatives(grid, plate, ball, unc, model, params)
+            Lf_h, Lg_h, Lf_V, Lg_V = lie_derivatives(grid, plate, ball, unc, model, params, h, V)
             lo = np.maximum(params.dtheta_min, prev_u - beta * dt)
             hi = np.minimum(params.dtheta_max, prev_u + beta * dt)
             # fold the tilt range into the rate box so the plate never leaves it:
             # one-step reachability plus a braking bound so the rate can always
             # be slewed to zero before the range boundary
-            room_hi = np.maximum(0.0, params.tilt_max - tilt)
-            room_lo = np.maximum(0.0, params.tilt_max + tilt)
+            room_hi = np.maximum(0.0, params.tilt_max - plate.tilt)
+            room_lo = np.maximum(0.0, params.tilt_max + plate.tilt)
             if beta > 0:
                 cap_hi = beta * (-dt + np.sqrt(dt * dt + 2.0 * room_hi / beta))
                 cap_lo = beta * (-dt + np.sqrt(dt * dt + 2.0 * room_lo / beta))
@@ -567,17 +559,20 @@ def dynamic_control(
                     )
                 )
             u = sol.dtheta if sol is not None and sol.feasible else np.zeros(n)
-            if sol is None or not sol.feasible or np.any(np.abs(tilt + u * dt) >= math.pi / 2):
+            if (sol is None or not sol.feasible
+                    or np.any(np.abs(plate.tilt + u * dt) >= math.pi / 2)):
                 failed = FailureReason.InfeasibleAction
             else:
-                grid, tilt, record = ball_step(grid, tilt, u, accels[t], ball, unc, model, dt)
+                grid, plate, record = ball_step(grid, plate, u, ball, unc, model, dt)
         except AllMassLost:  # from a probe or the step
             failed = FailureReason.AllMassLost
         if failed is not None:
-            # the step is not taken: report the cage at the current state
+            # the step is not taken, so the plan ends before it; its record
+            # stays in the log and reports the cage at the current state
             record = {"E_max": e_max(plate, model), "max_E": max_energy(grid, plate, model),
                       "lost_mass": 0.0, "contained": False}
         else:
+            steps.append(TiltRate.of(u))
             if record["lost_mass"] > 1e-3:
                 log.warn(f"step {t}: lost_mass {record['lost_mass']:.4g} exceeds 1e-3")
             if not record["contained"]:
@@ -585,13 +580,9 @@ def dynamic_control(
         record.update(
             t=t, action={"dtheta": u.tolist()}, pss_cells=len(grid.p),
             cage_center=traj[t + 1, :n].tolist(), h=h, V=V, entropy=entropy(grid),
-            dtheta=u.tolist(), tilt=tilt.tolist(),
+            dtheta=u.tolist(), tilt=plate.tilt.tolist(),
         )
         log.add(record)
-        if failed is not FailureReason.AllMassLost:
-            # no replay can take a step that loses all the mass, so the plan
-            # ends before it; its record stays in the log
-            steps.append(TiltRate.of(u))
         if failed is not None:
             result = VerificationResult(False, t, failed)
             break
@@ -722,16 +713,16 @@ def verify_ball_plan(
     n = initial.n
     traj = np.atleast_2d(np.asarray(trajectory, dtype=float))
     accels = trajectory_accels(traj, params.dt)
-    tilt0 = np.asarray(initial_tilt, float).reshape(n)
+    plate0 = PlateState(n, initial.x_max, initial_tilt, accels[0])
 
     def step(state, action, t):
-        grid, tilt = state
+        grid, plate = state
         # known defect: the planner steps under accels[t]; the benchmark pins this verdict
-        accel = accels[min(t + 1, len(accels) - 1)]
-        grid, tilt, record = ball_step(
-            grid, tilt, action.dtheta, accel, ball, unc, model, params.dt
+        plate = replace(plate, accel=accels[min(t + 1, len(accels) - 1)])
+        grid, plate, record = ball_step(
+            grid, plate, action.dtheta, ball, unc, model, params.dt
         )
-        return (grid, tilt), record
+        return (grid, plate), record
 
     def feasible(action, t):
         u = np.asarray(action.dtheta, dtype=float)
@@ -740,4 +731,4 @@ def verify_ball_plan(
         slew = np.all(np.abs(u - prev) <= params.beta_max * params.dt + 1e-9)
         return bool(in_box and slew)
 
-    return verify_caging_in_time((initial, tilt0), actions, step, feasible)
+    return verify_caging_in_time((initial, plate0), actions, step, feasible)

@@ -11,6 +11,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -111,13 +112,14 @@ def _push_frames(problem: PushProblem, start: Vec2, plan):
 def _ball_frames(setup: ballmod.TaskSetup, traj, plan):
     """Replay the plan under the planner's plate accelerations."""
     accels = ballmod.trajectory_accels(traj, setup.params.dt)
-    grid, tilt = setup.grid, setup.initial_tilt
+    grid = setup.grid
+    plate = ballmod.PlateState(grid.n, grid.x_max, setup.initial_tilt, accels[0])
     for t, action in enumerate(plan):
-        grid, tilt, _ = ballmod.ball_step(
-            grid, tilt, action.dtheta, accels[t], setup.ball, setup.unc,
-            setup.model, setup.params.dt,
+        grid, plate, _ = ballmod.ball_step(
+            grid, replace(plate, accel=accels[t]), action.dtheta, setup.ball,
+            setup.unc, setup.model, setup.params.dt,
         )
-        yield render_prob_frame(grid.values)
+        yield render_prob_frame(grid)
 
 
 def run_ball(cfg: RunConfig) -> int:

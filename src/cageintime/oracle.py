@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -22,15 +22,14 @@ from . import ball as ballmod
 @dataclass(frozen=True)
 class PushOracleConfig:
     object_radius: float = 25.0  # a, true bounding radius (<= planner r)
-    c_range: tuple[float, float] = (15.0, 25.0)  # contact-distance samples
-    delta_m: float = 0.5  # micro-step, mm
     seed: int = 0
 
+    c_range: ClassVar[tuple[float, float]] = (15.0, 25.0)  # contact-distance samples
+    delta_m: ClassVar[float] = 0.5  # micro-step, mm
+
     def __post_init__(self):
-        if not 0.0 < self.delta_m < self.object_radius / 4.0:
-            raise ValueError("micro-step must be small relative to the radius")
-        if not 0.0 < self.c_range[0] <= self.c_range[1]:
-            raise ValueError("contact-distance range must be positive and ordered")
+        if not self.delta_m < self.object_radius / 4.0:
+            raise ValueError("object radius must exceed 4 micro-steps")
 
 
 def peshkin_delta_beta(a: float, c: float, beta0: float, m: float) -> float:
@@ -174,11 +173,12 @@ def naive_tangent_rollout(
 @dataclass(frozen=True)
 class PControllerConfig:
     gain: float = 1.0
-    cap: float = 20.0  # mm
     noise_sigma: float = 0.0  # mm per axis
     lag: bool = False  # 50% chance of a 0.5 s or 1.0 s stale observation
-    step_period: float = 0.1  # s per control step
     seed: int = 0
+
+    cap: ClassVar[float] = 20.0  # mm
+    step_period: ClassVar[float] = 0.1  # s per control step
 
 
 def p_controller_step(
@@ -243,9 +243,10 @@ def p_controller_rollout(
 
 @dataclass(frozen=True)
 class BallOracleConfig:
-    step: float = 0.002  # s, integrator substep (<= dt/10)
     rollouts: int = 20
     seed: int = 0
+
+    step: ClassVar[float] = 0.002  # s, integrator substep (<= dt/10)
 
 
 def _exact_accel(

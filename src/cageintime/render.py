@@ -1,5 +1,5 @@
 """Frame rendering to binary PGM (P5): diffable grayscale snapshots of the
-state set, cage, and pusher (or belief grid and plate tilt)."""
+state set, cage, and pusher, or of the ball belief."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ from typing import Optional
 
 import numpy as np
 
+from .ball import ProbGrid
 from .core import CageCircle, PSSGrid
 from .push import PusherPose, compute_poa, segment_distance
 
@@ -59,19 +60,10 @@ def render_push_frame(
     return FrameImage(img)
 
 
-def render_prob_frame(values: np.ndarray) -> FrameImage:
-    """Probability grid mapped linearly to gray by value / max value.
-
-    For 4D grids the position marginal is rendered.
-    """
-    v = np.asarray(values, dtype=float)
-    if v.ndim == 2:
-        plane = v
-    elif v.ndim == 4:
-        plane = v.sum(axis=(2, 3))
-    else:
-        raise ValueError("expected a 2D or 4D probability array")
-    peak = plane.max()
-    if peak <= 0:
-        raise ValueError("probability grid must have support")
-    return FrameImage(np.round(255.0 * plane / peak).astype(np.uint8))
+def render_prob_frame(grid: ProbGrid) -> FrameImage:
+    """Belief mass over the grid's first two axes, mapped linearly to gray by
+    mass / peak mass: the (x, v) plane for n=1 and the position marginal for
+    n=2."""
+    plane = np.zeros((grid.N, grid.N))
+    np.add.at(plane, (grid.cells[:, 0], grid.cells[:, 1]), grid.p)
+    return FrameImage(np.round(255.0 * plane / plane.max()).astype(np.uint8))

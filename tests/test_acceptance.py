@@ -17,7 +17,7 @@ from cageintime import ball as B
 from cageintime import oracle
 from cageintime import qp as qpmod
 from cageintime import trajectories as T
-from cageintime.core import TiltRate, Vec2
+from cageintime.core import Vec2
 from cageintime.push import PushProblem, plan_push, pusher_pose, segment_distance
 from qp_oracle import grid_search, random_instance
 
@@ -191,16 +191,16 @@ def test_criterion_06_probability_grid_integrity():
                            v - 0.02, v + 0.02)
         plate = B.PlateState(1, 0.08, rng.uniform(-0.3, 0.3, 1),
                              rng.uniform(-0.5, 0.5, 2))
-        out, _ = B.propagate_prob(g, TiltRate.of([0.0]), plate, ball, unc, 0.02)
+        out, _ = B.propagate_prob(g, plate, ball, unc, 0.02)
         worst = max(worst, abs(out.values.sum() - 1.0))
         assert np.count_nonzero(out.values) > 0
     # zero-uncertainty delta propagation = one Euler step within one cell
     g = B.ProbGrid.delta(1, 81, 0.08, 1.0, 0.0, 0.1)
     plate = B.PlateState(1, 0.08, np.array([0.05]), np.zeros(2))
-    out, _ = B.propagate_prob(g, TiltRate.of([0.0]), plate, ball,
+    out, _ = B.propagate_prob(g, plate, ball,
                               B.no_uncertainty(1), 0.02)
     xs, vs, ps = out.support()
-    mu, _ = B.accel_distribution(np.zeros(1), np.array([0.1]), plate, ball,
+    mu, _ = B.accel_distribution(np.array([0.1]), plate, ball,
                                  B.no_uncertainty(1))
     x0, v0 = g.support()[0][0, 0], g.support()[1][0, 0]
     euler_ok = (len(ps) == 1
@@ -219,7 +219,7 @@ def test_criterion_07_monte_carlo_envelope():
     dt = 0.02
     g = B.ProbGrid.delta(1, 81, 0.08, 1.0, 0.01, 0.1)
     plate = B.PlateState(1, 0.08, np.array([0.05]), np.array([0.2, 0.0]))
-    out, _ = B.propagate_prob(g, TiltRate.of([0.0]), plate, ball, unc, dt)
+    out, _ = B.propagate_prob(g, plate, ball, unc, dt)
     dilated = ndimage.binary_dilation(out.values > 0, np.ones((3, 3), bool))
     rng = np.random.default_rng(1)
     x0, v0 = g.support()[0][0, 0], g.support()[1][0, 0]

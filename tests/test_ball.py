@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cageintime import ball as B
-from cageintime.core import FailureReason, TiltRate
+from cageintime.core import FailureReason
 from cageintime import oracle
 
 import dense_belief as D
@@ -83,20 +83,20 @@ class TestPlateFrameAccels:
 class TestAccelDistribution:
     def test_zero_noise_zero_state(self):
         mu, Sigma = B.accel_distribution(
-            np.zeros(1), np.zeros(1), flat_plate(), TB, B.no_uncertainty(1))
+            np.zeros(1), flat_plate(), TB, B.no_uncertainty(1))
         assert np.allclose(mu, 0.0) and np.allclose(Sigma, 0.0)
 
     def test_rolling_factor_on_slope(self):
         plate = B.PlateState(1, 0.08, np.array([0.1]), np.zeros(2))
         mu, _ = B.accel_distribution(
-            np.zeros(1), np.zeros(1), plate, TB, B.no_uncertainty(1))
+            np.zeros(1), plate, TB, B.no_uncertainty(1))
         assert mu[0] == pytest.approx(0.6 * 9.81 * math.sin(0.1))
         assert mu[0] == pytest.approx(0.5876, abs=1e-4)
 
     def test_friction_noise_vanishes_at_rest(self):
         unc = B.UncertaintyModel(0.0, np.zeros((2, 2)), 0.5)
         _, Sigma = B.accel_distribution(
-            np.zeros(1), np.zeros(1), flat_plate(), TB, unc)
+            np.zeros(1), flat_plate(), TB, unc)
         assert np.allclose(Sigma, 0.0)
 
     def test_mean_matches_exact_dynamics(self):
@@ -104,7 +104,7 @@ class TestAccelDistribution:
         for tilt, v in [(0.1, 0.0), (-0.3, 0.4), (0.02, -0.7)]:
             plate = B.PlateState(1, 0.08, np.array([tilt]), np.array([0.5, 0.1]))
             mu, _ = B.accel_distribution(
-                np.zeros(1), np.array([v]), plate, TB, B.no_uncertainty(1))
+                np.array([v]), plate, TB, B.no_uncertainty(1))
             exact = oracle._exact_accel(
                 np.zeros(1), np.array([v]), plate.tilt, plate.accel,
                 TB, 0.0, np.zeros(2), 0.0)
@@ -308,7 +308,7 @@ class TestCbfClf:
 class TestPropagateProb:
     def test_fixed_point_at_rest_center(self):
         g = B.ProbGrid.delta(1, 81, 0.08, 1.0, 0.0, 0.0)
-        out, lost = B.propagate_prob(g, TiltRate.of([0.0]), flat_plate(), TB,
+        out, lost = B.propagate_prob(g, flat_plate(), TB,
                                      B.no_uncertainty(1), 0.02)
         assert lost == 0.0
         assert np.array_equal(out.values, g.values)
@@ -316,11 +316,11 @@ class TestPropagateProb:
     def test_zero_uncertainty_euler_step(self):
         g = B.ProbGrid.delta(1, 81, 0.08, 1.0, 0.0, 0.1)
         plate = B.PlateState(1, 0.08, np.array([0.05]), np.zeros(2))
-        out, _ = B.propagate_prob(g, TiltRate.of([0.0]), plate, TB,
+        out, _ = B.propagate_prob(g, plate, TB,
                                   B.no_uncertainty(1), 0.02)
         xs, vs, ps = out.support()
         assert len(ps) == 1
-        mu, _ = B.accel_distribution(np.zeros(1), np.array([0.1]), plate, TB,
+        mu, _ = B.accel_distribution(np.array([0.1]), plate, TB,
                                      B.no_uncertainty(1))
         x0, v0 = g.support()[0][0, 0], g.support()[1][0, 0]
         assert abs(xs[0, 0] - (x0 + 0.1 * 0.02)) <= out.x_step + 1e-12
@@ -338,7 +338,7 @@ class TestPropagateProb:
                              rng.uniform(-1, 1, 2))
         unc = B.default_uncertainty(1)
         try:
-            out, lost = B.propagate_prob(g, TiltRate.of([0.0]), plate, TB, unc, 0.02)
+            out, lost = B.propagate_prob(g, plate, TB, unc, 0.02)
         except B.AllMassLost:
             return
         assert abs(out.values.sum() - 1.0) <= 1e-9
@@ -348,13 +348,27 @@ class TestPropagateProb:
     def test_all_mass_lost_raises(self):
         g = B.ProbGrid.delta(1, 81, 0.08, 1.0, 0.079, 1.0)
         with pytest.raises(B.AllMassLost):
-            B.propagate_prob(g, TiltRate.of([0.0]), flat_plate(), TB,
+            B.propagate_prob(g, flat_plate(), TB,
                              B.no_uncertainty(1), 0.5)
+
+    def test_reads_accel_distribution(self, monkeypatch):
+        g = B.ProbGrid.delta(1, 81, 0.08, 1.0, 0.0, 0.0)
+        rest, _ = B.propagate_prob(g, flat_plate(), TB, B.no_uncertainty(1), 0.02)
+        model = B.accel_distribution
+
+        def pushed(v, plate, ball, unc):
+            mu, Sigma = model(v, plate, ball, unc)
+            return mu + 5.0, Sigma
+
+        monkeypatch.setattr(B, "accel_distribution", pushed)
+        out, _ = B.propagate_prob(g, flat_plate(), TB, B.no_uncertainty(1), 0.02)
+        # 5 m/s^2 over 0.02 s is four 0.025 m/s velocity cells
+        assert np.array_equal(out.cells, rest.cells + [0, 4])
 
     def test_n2_normalization(self):
         g = B.ProbGrid.box(2, 11, 0.08, 1.0, -0.02, 0.02, -0.05, 0.05)
         plate = B.PlateState(2, 0.08, np.array([0.1, -0.05]), np.zeros(3))
-        out, _ = B.propagate_prob(g, TiltRate.of([0.0, 0.0]), plate, TB,
+        out, _ = B.propagate_prob(g, plate, TB,
                                   B.default_uncertainty(2), 0.02)
         assert abs(out.values.sum() - 1.0) <= 1e-9
 
@@ -380,7 +394,7 @@ class TestSupportMatchesDense:
             assert abs(B.entropy(g) - D.entropy(g)) <= 1e-12
             assert abs(B.clf_value(g, plate, MODEL, 0.002)
                        - D.clf_value(g, plate, MODEL, 0.002)) <= 1e-12
-            out, lost = B.propagate_prob(g, TiltRate.of(np.zeros(n)), plate, TB, unc, 0.02)
+            out, lost = B.propagate_prob(g, plate, TB, unc, 0.02)
             ref, ref_lost, ref_pruned = D.propagate(g, plate, TB, unc, 0.02)
             assert abs(lost - ref_lost) <= 1e-12
             assert np.array_equal(out.cells, np.argwhere(ref))
@@ -390,11 +404,19 @@ class TestSupportMatchesDense:
         assert pruned > 0 and lost_total > 0
 
 
+def _lie_derivatives(grid, plate, ball, unc, model, params):
+    """lie_derivatives at the current barrier and Lyapunov values, as
+    dynamic_control calls it."""
+    h = B.cbf_value(grid, plate, model)
+    V = B.clf_value(grid, plate, model, params.k_S)
+    return B.lie_derivatives(grid, plate, ball, unc, model, params, h, V)
+
+
 class TestLieDerivatives:
     def test_fixed_point_zero(self):
         g = B.ProbGrid.delta(1, 81, 0.08, 1.0, 0.0, 0.0)
         params = B.ControlParams()
-        Lf_h, Lg_h, Lf_V, Lg_V = B.lie_derivatives(
+        Lf_h, Lg_h, Lf_V, Lg_V = _lie_derivatives(
             g, flat_plate(), TB, B.no_uncertainty(1), MODEL, params)
         assert abs(Lf_h) <= 1e-6
         assert abs(Lf_V) <= 1e-6
@@ -403,35 +425,55 @@ class TestLieDerivatives:
         setup = B.balancing_setup()
         plate = B.PlateState(1, 0.08, np.array([0.05]), np.zeros(2))
         params = setup.params
-        got = B.lie_derivatives(setup.grid, plate, setup.ball, setup.unc,
-                                setup.model, params)
+        got = _lie_derivatives(setup.grid, plate, setup.ball, setup.unc,
+                               setup.model, params)
 
         def phi(u):
             tilt = plate.tilt + u * params.dt
             p2 = B.PlateState(1, plate.half_length, tilt, plate.accel)
-            g2, _ = B.propagate_prob(setup.grid, TiltRate.of(u), p2,
+            g2, _ = B.propagate_prob(setup.grid, p2,
                                      setup.ball, setup.unc, params.dt)
             return (B.cbf_value(g2, p2, setup.model),
                     B.clf_value(g2, p2, setup.model, params.k_S))
 
         e = np.array([params.eps])
+        h0, V0 = phi(np.zeros(1))
         hp, Vp = phi(e)
         hm, Vm = phi(-e)
+        h = B.cbf_value(setup.grid, plate, setup.model)
+        V = B.clf_value(setup.grid, plate, setup.model, params.k_S)
         # central difference is odd: the same formula with probes swapped negates
         assert (hp - hm) == pytest.approx(-(hm - hp))
+        assert got[0] == (h0 - h) / params.dt
+        assert got[2] == (V0 - V) / params.dt
         assert got[1][0] == pytest.approx((hp - hm) / (2 * params.eps * params.dt))
         assert got[3][0] == pytest.approx((Vp - Vm) / (2 * params.eps * params.dt))
 
     def test_probe_halving_converged(self):
         setup = B.balancing_setup()
         plate = B.PlateState(1, 0.08, np.array([0.05]), np.zeros(2))
-        l1 = B.lie_derivatives(setup.grid, plate, setup.ball, setup.unc,
-                               setup.model, setup.params)
+        l1 = _lie_derivatives(setup.grid, plate, setup.ball, setup.unc,
+                              setup.model, setup.params)
         half = replace(setup.params, eps=setup.params.eps / 2.0)
-        l2 = B.lie_derivatives(setup.grid, plate, setup.ball, setup.unc,
-                               setup.model, half)
+        l2 = _lie_derivatives(setup.grid, plate, setup.ball, setup.unc,
+                              setup.model, half)
         assert abs(l1[1][0]) > 1e-3
         assert abs(l2[1][0] - l1[1][0]) <= 0.05 * abs(l1[1][0])
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_each_probe_is_one_ball_step(self, n, monkeypatch):
+        setup = B.balancing_setup(n=n, N=31)
+        plate = B.PlateState(n, 0.08, np.full(n, 0.05), np.zeros(n + 1))
+        calls = []
+        step = B.ball_step
+
+        def counted(*args):
+            calls.append(args)
+            return step(*args)
+
+        monkeypatch.setattr(B, "ball_step", counted)
+        _lie_derivatives(setup.grid, plate, setup.ball, setup.unc, setup.model, setup.params)
+        assert len(calls) == 2 * n + 1
 
 
 class TestDynamicControl:
@@ -466,6 +508,11 @@ class TestDynamicControl:
             setup.model, setup.params, setup.initial_tilt)
         assert not result.success
         assert result.failure_reason is FailureReason.InfeasibleAction
+        # the plan ends before the failing step and replays as planned
+        assert len(plan) == result.failure_step
+        replay = B.verify_ball_plan(setup.grid, plan, setup.trajectory(3.0), setup.ball,
+                                    setup.unc, setup.model, setup.params, setup.initial_tilt)
+        assert replay.success
 
     def test_zero_slew_bound_fails_immediately(self):
         setup = B.catching_setup(0.8, 0.05, beta_max=0.0)
@@ -511,14 +558,16 @@ class TestStepKernel:
             assert any(a.dtheta != (0.0,) for a in plan)
         assert result.success
         accels = B.trajectory_accels(traj, setup.params.dt)
-        grid, tilt = setup.grid, setup.initial_tilt
+        grid = setup.grid
+        plate = B.PlateState(1, grid.x_max, setup.initial_tilt, accels[0])
         for t, (action, rec) in enumerate(zip(plan, log.records)):
             # the planner's schedule: step t under accels[t]
-            grid, tilt, step_rec = B.ball_step(
-                grid, tilt, action.dtheta, accels[t], setup.ball, setup.unc,
-                setup.model, setup.params.dt)
+            grid, plate, step_rec = B.ball_step(
+                grid, replace(plate, accel=accels[t]), action.dtheta, setup.ball,
+                setup.unc, setup.model, setup.params.dt)
             assert step_rec == {key: rec[key] for key in step_rec}
-            assert tilt.tolist() == rec["tilt"]
+            assert plate.tilt.tolist() == rec["tilt"]
+            assert np.array_equal(plate.accel, accels[t])
             assert int(np.count_nonzero(grid.values)) == rec["pss_cells"]
 
     @pytest.mark.xfail(

@@ -186,6 +186,24 @@ class TestBallCommand:
         plan = json.loads((tmp_path / "out" / "plan.json").read_text())
         assert len(plan) == step
 
+    def test_infeasible_action_ends_plan_and_frames(self, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        doc = ball_doc(out, mode="catch", dv0_m_s=0.5, beta_max=5.0, rollouts=1)
+        doc["trajectory"] = {"kind": "stationary", "horizon_s": 3.0}
+        path = write_config(tmp_path, "c.yaml", doc)
+        assert cli.main(["ball", "--config", path, "--render"]) == 2
+        stdout = capsys.readouterr().out
+        prefix = "planning failed at step "
+        assert stdout.startswith(prefix) and "InfeasibleAction" in stdout
+        step = int(stdout[len(prefix):].split(":")[0])
+        assert step > 0
+        lines = (tmp_path / "out" / "runlog.jsonl").read_text().splitlines()
+        assert [json.loads(line)["t"] for line in lines] == list(range(step + 1))
+        # the plan and the frames hold only the steps the planner took
+        plan = json.loads((tmp_path / "out" / "plan.json").read_text())
+        assert len(plan) == step
+        assert len(os.listdir(tmp_path / "out" / "frames")) == step
+
     def test_trials_flag_overrides_rollouts(self, tmp_path):
         out = str(tmp_path / "out")
         path = write_config(tmp_path, "c.yaml", ball_doc(out))

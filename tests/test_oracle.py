@@ -35,12 +35,15 @@ class TestPeshkinBound:
 
 class TestPushOracleConfig:
     def test_micro_step_bound(self):
+        # the radius must exceed four 0.5 mm micro-steps
         with pytest.raises(ValueError):
-            oracle.PushOracleConfig(delta_m=10.0)
+            oracle.PushOracleConfig(object_radius=4 * oracle.PushOracleConfig.delta_m)
+        assert oracle.PushOracleConfig(object_radius=2.01).object_radius == 2.01
 
-    def test_contact_range_ordered(self):
-        with pytest.raises(ValueError):
-            oracle.PushOracleConfig(c_range=(25.0, 15.0))
+    def test_nonpositive_radius(self):
+        for radius in (0.0, -25.0, float("nan")):
+            with pytest.raises(ValueError):
+                oracle.PushOracleConfig(object_radius=radius)
 
 
 class TestSimulatePush:

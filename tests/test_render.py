@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cageintime.ball import ProbGrid
 from cageintime.core import CageCircle, PSSGrid, Vec2
 from cageintime.push import pusher_pose
 from cageintime.render import (
@@ -51,17 +52,22 @@ class TestRenderProbFrame:
         v = np.zeros((5, 5))
         v[2, 2] = 0.8
         v[1, 1] = 0.4
-        img = render_prob_frame(v)
+        img = render_prob_frame(ProbGrid(1, 5, 0.08, 1.0, v))
+        assert img.pixels.shape == (5, 5)
         assert img.pixels[2, 2] == 255
         assert img.pixels[1, 1] == 128
 
     def test_4d_marginal(self):
         v = np.zeros((3, 3, 3, 3))
         v[1, 1, 0, 0] = 1.0
-        img = render_prob_frame(v)
+        img = render_prob_frame(ProbGrid(2, 3, 0.08, 1.0, v))
         assert img.pixels.shape == (3, 3)
         assert img.pixels[1, 1] == 255
 
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            render_prob_frame(np.zeros((4, 4)))
+    def test_n2_matches_dense_marginal(self):
+        rng = np.random.default_rng(5)
+        v = rng.random((7,) * 4) * (rng.random((7,) * 4) < 0.2)
+        grid = ProbGrid(2, 7, 0.08, 1.0, v)
+        plane = grid.values.sum(axis=(2, 3))
+        dense = np.round(255.0 * plane / plane.max()).astype(np.uint8)
+        assert np.array_equal(render_prob_frame(grid).pixels, dense)
