@@ -18,7 +18,7 @@ import numpy as np
 from . import ball as ballmod
 from . import oracle as oraclemod
 from .config import BadSpec, RunConfig, ball_trajectory, load_config, push_trajectory
-from .core import CageCircle, PushAngle, Vec2, action_to_json
+from .core import CageCircle, PushAngle, Vec2, WaypointSpacingTooLarge, action_to_json
 from .push import PushProblem, initial_set, plan_push, push_step, pusher_pose
 from .render import render_prob_frame, render_push_frame
 from .trajectories import as_vec2_list
@@ -54,6 +54,13 @@ def _push_problem(cfg: RunConfig) -> tuple[PushProblem, Vec2]:
     return problem, start
 
 
+def _at_least_one(raw: dict, key: str, default: int) -> int:
+    value = int(raw.get(key, default))
+    if value < 1:
+        raise BadSpec(f"{key} must be at least 1, got {value}")
+    return value
+
+
 def _print_warnings(log) -> None:
     for message in log.warnings:
         print(f"warning: {message}", file=sys.stderr)
@@ -61,6 +68,15 @@ def _print_warnings(log) -> None:
 
 def run_push(cfg: RunConfig) -> int:
     problem, start = _push_problem(cfg)
+    # the oracle settings are checked before planning, so a bad one writes nothing
+    rollouts = _at_least_one(cfg.raw, "rollouts", 20)
+    try:
+        ocfg = oraclemod.PushOracleConfig(
+            object_radius=float(cfg.raw.get("oracle_radius_mm", problem.object_radius)),
+            seed=cfg.seed,
+        )
+    except ValueError as e:
+        raise BadSpec(f"oracle_radius_mm: {e}") from e
     plan, result, log = plan_push(problem, start)
     _print_warnings(log)
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -71,11 +87,6 @@ def run_push(cfg: RunConfig) -> int:
     if not result.success:
         print(f"planning failed at step {result.failure_step}: {result.failure_reason}")
         return 2
-    rollouts = int(cfg.raw.get("rollouts", 20))
-    ocfg = oraclemod.PushOracleConfig(
-        object_radius=float(cfg.raw.get("oracle_radius_mm", problem.object_radius)),
-        seed=cfg.seed,
-    )
     worst = 0.0
     with open(os.path.join(cfg.out_dir, "rollouts.csv"), "w", newline="") as fh:
         wr = csv.writer(fh)
@@ -148,6 +159,9 @@ def run_ball(cfg: RunConfig) -> int:
     traj = ball_trajectory(raw, setup.params.dt, setup.grid.n)
     if traj is None:
         traj = setup.trajectory(float(raw["trajectory"].get("horizon_s", 3.0)))
+    ocfg = oraclemod.BallOracleConfig(
+        rollouts=_at_least_one(raw, "rollouts", 20), seed=cfg.seed
+    )
     plan, result, log = ballmod.dynamic_control(
         setup.grid, traj, setup.ball, setup.unc, setup.model, setup.params,
         setup.initial_tilt,
@@ -161,9 +175,6 @@ def run_ball(cfg: RunConfig) -> int:
     if not result.success:
         print(f"planning failed at step {result.failure_step}: {result.failure_reason}")
         return 2
-    ocfg = oraclemod.BallOracleConfig(
-        rollouts=int(raw.get("rollouts", 20)), seed=cfg.seed
-    )
     xs0, vs0, _ = setup.grid.support()
     rate, max_abs = oraclemod.rollout_ball(
         plan, traj, setup.ball, setup.unc, ocfg, setup.grid.x_max,
@@ -187,7 +198,7 @@ def run_sweep(cfg: RunConfig) -> int:
         [float(v) for v in raw["v0_grid"]],
         [float(v) for v in raw["dv0_grid"]],
         [float(v) for v in raw["beta_grid"]],
-        trials=int(raw.get("trials", 100)),
+        trials=_at_least_one(raw, "trials", 100),
         seed=cfg.seed,
         horizon_s=float(raw.get("horizon_s", 3.0)),
     )
@@ -241,7 +252,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return run(cfg)
-    except BadSpec as e:
+    except (BadSpec, WaypointSpacingTooLarge) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except OSError as e:

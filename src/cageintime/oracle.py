@@ -248,6 +248,20 @@ class BallOracleConfig:
 
     step: ClassVar[float] = 0.002  # s, integrator substep (<= dt/10)
 
+    def __post_init__(self):
+        if self.rollouts < 1:
+            raise ValueError(f"rollouts must be at least 1, got {self.rollouts}")
+
+
+def _accel(v, sin, cos, noisy, gain, drag) -> np.ndarray:
+    """Exact ball acceleration from the tilt's sine and cosine, the noisy
+    plate acceleration, the noisy gain kappa * (1 + eta_m) and the noisy
+    friction mu_r + eta_mu. The tilt terms have shape (n,); the rest may
+    carry a leading rollout axis."""
+    n = sin.shape[0]
+    a_eff = ballmod.G * sin + (noisy[..., n:] * sin + noisy[..., :n] * cos)
+    return gain * a_eff - drag * v
+
 
 def _exact_accel(
     x: np.ndarray,
@@ -255,16 +269,17 @@ def _exact_accel(
     tilt: np.ndarray,
     plate_accel: np.ndarray,
     ball: ballmod.BallParams,
-    eta_m: float,
+    eta_m,
     eta_p: np.ndarray,
-    eta_mu: float,
+    eta_mu,
 ) -> np.ndarray:
-    n = tilt.shape[0]
-    noisy = plate_accel + eta_p
-    g_theta = ballmod.G * np.sin(tilt)
-    a_p = noisy[n] * np.sin(tilt) + noisy[:n] * np.cos(tilt)
-    a_eff = g_theta + a_p
-    return ball.kappa * (1.0 + eta_m) * a_eff - (ball.mu_r + eta_mu) * v
+    """Acceleration of one state (v of shape (n,)) or of a batch of rollouts
+    (v of shape (R, n), eta_m and eta_mu of shape (R, 1), eta_p of shape
+    (R, n+1)) under a tilt shared by all of them."""
+    return _accel(
+        v, np.sin(tilt), np.cos(tilt), plate_accel + eta_p,
+        ball.kappa * (1.0 + eta_m), ball.mu_r + eta_mu,
+    )
 
 
 def integrate_ball(
@@ -276,49 +291,60 @@ def integrate_ball(
     initial_tilt: np.ndarray,
     dt: float,
     substep: float,
-    eta_m: float = 0.0,
+    eta_m=0.0,
     eta_p: Optional[np.ndarray] = None,
-    eta_mu: float = 0.0,
+    eta_mu=0.0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-step 4th-order rollout of the exact dynamics under one noise draw.
+    """Fixed-step 4th-order rollouts of the exact dynamics, all advanced
+    together.
 
-    Tilt follows the planned rates piecewise-linearly; plate acceleration is
+    x0 and v0 hold one initial state per row, shape (R, n); a 1-D state is
+    one rollout. Each rollout keeps one constant noise draw: eta_m and eta_mu
+    of shape (R, 1) and eta_p of shape (R, n+1); a scalar or 1-D draw is
+    shared by every rollout. Tilt follows the planned rates piecewise-linearly
+    and is the same for every rollout; plate acceleration is
     piecewise-constant from second differences of the plate path. Returns
-    position and velocity traces sampled at every control step.
+    position and velocity traces of shape (T+1, R, n), sampled at every
+    control step.
     """
     n = initial_tilt.shape[0]
     traj = np.atleast_2d(np.asarray(trajectory, dtype=float))
     accels = ballmod.trajectory_accels(traj, dt)
     if eta_p is None:
         eta_p = np.zeros(n + 1)
-    x = np.asarray(x0, dtype=float).reshape(n).copy()
-    v = np.asarray(v0, dtype=float).reshape(n).copy()
+    x = np.atleast_2d(np.asarray(x0, dtype=float))
+    v = np.atleast_2d(np.asarray(v0, dtype=float))
+    gain = ball.kappa * (1.0 + eta_m)
+    drag = ball.mu_r + eta_mu
     tilt = initial_tilt.copy()
-    xs = [x.copy()]
-    vs = [v.copy()]
+    xs = [x]
+    vs = [v]
     m = max(1, int(round(dt / substep)))
     h = dt / m
+    half = 0.5 * h
+    sixth = h / 6.0
     for t, action in enumerate(plan):
         u = np.asarray(action.dtheta, dtype=float)
-        pa = accels[min(t, accels.shape[0] - 1)]
+        noisy = accels[min(t, accels.shape[0] - 1)] + eta_p
         for i in range(m):
             tilt_a = tilt + u * (i * h)
             tilt_b = tilt + u * ((i + 0.5) * h)
             tilt_c = tilt + u * ((i + 1) * h)
-
-            def f(state, th):
-                xx, vv = state
-                return vv, _exact_accel(xx, vv, th, pa, ball, eta_m, eta_p, eta_mu)
-
-            k1 = f((x, v), tilt_a)
-            k2 = f((x + 0.5 * h * k1[0], v + 0.5 * h * k1[1]), tilt_b)
-            k3 = f((x + 0.5 * h * k2[0], v + 0.5 * h * k2[1]), tilt_b)
-            k4 = f((x + h * k3[0], v + h * k3[1]), tilt_c)
-            x = x + h / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-            v = v + h / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+            sin_b, cos_b = np.sin(tilt_b), np.cos(tilt_b)
+            # position never enters the acceleration, so each stage's
+            # position slope is its velocity
+            a1 = _accel(v, np.sin(tilt_a), np.cos(tilt_a), noisy, gain, drag)
+            v2 = v + half * a1
+            a2 = _accel(v2, sin_b, cos_b, noisy, gain, drag)
+            v3 = v + half * a2
+            a3 = _accel(v3, sin_b, cos_b, noisy, gain, drag)
+            v4 = v + h * a3
+            a4 = _accel(v4, np.sin(tilt_c), np.cos(tilt_c), noisy, gain, drag)
+            x = x + sixth * (v + 2 * v2 + 2 * v3 + v4)
+            v = v + sixth * (a1 + 2 * a2 + 2 * a3 + a4)
         tilt = tilt + u * dt
-        xs.append(x.copy())
-        vs.append(v.copy())
+        xs.append(x)
+        vs.append(v)
     return np.array(xs), np.array(vs)
 
 
@@ -338,31 +364,32 @@ def rollout_ball(
 
     Each rollout draws one constant parameter-noise sample and an initial
     state uniformly from the given ranges; success means the ball stays on
-    the plate (|x| <= half_length componentwise) throughout. Returns the
-    success rate and per-rollout max |x|.
+    the plate (|x| <= half_length componentwise) throughout. All rollouts
+    are integrated as one batch. Returns the success rate and per-rollout
+    max |x|.
     """
     rng = np.random.default_rng(cfg.seed)
     n = initial_tilt.shape[0]
-    successes = 0
-    max_abs = np.zeros(cfg.rollouts)
-    for i in range(cfg.rollouts):
-        eta_m = rng.normal(0.0, unc.sigma_m) if unc.sigma_m > 0 else 0.0
-        eta_mu = rng.normal(0.0, unc.sigma_mu) if unc.sigma_mu > 0 else 0.0
+    R = cfg.rollouts
+    eta_m, eta_mu = np.zeros((R, 1)), np.zeros((R, 1))
+    eta_p = np.zeros((R, n + 1))
+    x0, v0 = np.zeros((R, n)), np.zeros((R, n))
+    for i in range(R):
+        if unc.sigma_m > 0:
+            eta_m[i] = rng.normal(0.0, unc.sigma_m)
+        if unc.sigma_mu > 0:
+            eta_mu[i] = rng.normal(0.0, unc.sigma_mu)
         if np.any(unc.Sigma_p):
-            eta_p = rng.multivariate_normal(np.zeros(n + 1), unc.Sigma_p)
-        else:
-            eta_p = np.zeros(n + 1)
-        x0 = rng.uniform(x0_range[0], x0_range[1], size=n)
-        v0 = rng.uniform(v0_range[0], v0_range[1], size=n)
-        xs, _ = integrate_ball(
-            plan, trajectory, ball, x0, v0, initial_tilt, dt, cfg.step,
-            eta_m, eta_p, eta_mu,
-        )
-        m = float(np.max(np.abs(xs)))
-        max_abs[i] = m
-        if m <= half_length + 1e-12:
-            successes += 1
-    return successes / cfg.rollouts, max_abs
+            eta_p[i] = rng.multivariate_normal(np.zeros(n + 1), unc.Sigma_p)
+        x0[i] = rng.uniform(x0_range[0], x0_range[1], size=n)
+        v0[i] = rng.uniform(v0_range[0], v0_range[1], size=n)
+    xs, _ = integrate_ball(
+        plan, trajectory, ball, x0, v0, initial_tilt, dt, cfg.step,
+        eta_m, eta_p, eta_mu,
+    )
+    max_abs = np.max(np.abs(xs), axis=(0, 2))
+    successes = int(np.count_nonzero(max_abs <= half_length + 1e-12))
+    return successes / R, max_abs
 
 
 # --- sensitivity sweep ----------------------------------------------------

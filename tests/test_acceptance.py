@@ -277,18 +277,22 @@ def _dynamic_run(traj, rollouts=20, seed=3):
     assert all(r["max_E"] < r["E_max"] for r in log.records)
     xs0, vs0, _ = setup.grid.support()
     rng = np.random.default_rng(seed)
-    maxes, means = [], []
-    for _ in range(rollouts):
-        eta_m = rng.normal(0.0, setup.unc.sigma_m)
-        eta_mu = rng.normal(0.0, setup.unc.sigma_mu)
-        eta_p = rng.multivariate_normal(np.zeros(2), setup.unc.Sigma_p)
-        x0 = rng.uniform(float(xs0.min()), float(xs0.max()), 1)
-        v0 = rng.uniform(float(vs0.min()), float(vs0.max()), 1)
-        xs, _ = oracle.integrate_ball(
-            plan, traj, setup.ball, x0, v0, setup.initial_tilt,
-            setup.params.dt, 0.002, eta_m, eta_p, eta_mu)
-        maxes.append(float(np.max(np.abs(xs))))
-        means.append(float(np.mean(np.abs(xs))))
+    eta_m, eta_mu = np.zeros((rollouts, 1)), np.zeros((rollouts, 1))
+    eta_p = np.zeros((rollouts, 2))
+    x0, v0 = np.zeros((rollouts, 1)), np.zeros((rollouts, 1))
+    for i in range(rollouts):
+        eta_m[i] = rng.normal(0.0, setup.unc.sigma_m)
+        eta_mu[i] = rng.normal(0.0, setup.unc.sigma_mu)
+        eta_p[i] = rng.multivariate_normal(np.zeros(2), setup.unc.Sigma_p)
+        x0[i] = rng.uniform(float(xs0.min()), float(xs0.max()), 1)
+        v0[i] = rng.uniform(float(vs0.min()), float(vs0.max()), 1)
+    xs, _ = oracle.integrate_ball(
+        plan, traj, setup.ball, x0, v0, setup.initial_tilt,
+        setup.params.dt, 0.002, eta_m, eta_p, eta_mu)
+    # one contiguous (T+1, 1) trace per rollout, as each was integrated alone
+    per_rollout = np.abs(xs).transpose(1, 0, 2).copy()
+    maxes = [float(np.max(a)) for a in per_rollout]
+    means = [float(np.mean(a)) for a in per_rollout]
     return max(maxes), float(np.mean(means)), elapsed
 
 

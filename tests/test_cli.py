@@ -79,6 +79,42 @@ class TestConfigValidation:
         path = write_config(tmp_path, "c.yaml", push_doc(str(tmp_path / "out")))
         assert cli.main(["ball", "--config", path]) == 1
 
+    @pytest.mark.parametrize("task", ["push", "ball"])
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    def test_trials_below_one_rejected(self, tmp_path, capsys, task, trials):
+        out = tmp_path / "out"
+        doc = push_doc(str(out)) if task == "push" else ball_doc(str(out))
+        path = write_config(tmp_path, "c.yaml", doc)
+        assert cli.main([task, "--config", path, "--trials", trials]) == 1
+        assert capsys.readouterr().err.startswith("error: rollouts must be at least 1")
+        assert not out.exists()  # rejected before planning
+
+    @pytest.mark.parametrize("task", ["push", "ball"])
+    def test_zero_rollouts_in_config_rejected(self, tmp_path, capsys, task):
+        out = tmp_path / "out"
+        doc = (push_doc if task == "push" else ball_doc)(str(out), rollouts=0)
+        path = write_config(tmp_path, "c.yaml", doc)
+        assert cli.main([task, "--config", path]) == 1
+        assert capsys.readouterr().err.startswith("error: rollouts must be at least 1")
+        assert not out.exists()
+
+    def test_waypoint_spacing_too_large(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        doc = push_doc(str(out))
+        # 24 steps on a 60 mm circle are 15.7 mm apart, over cage_size/2
+        doc["trajectory"]["steps"] = 24
+        path = write_config(tmp_path, "c.yaml", doc)
+        assert cli.main(["push", "--config", path]) == 1
+        assert capsys.readouterr().err.startswith("error: waypoint spacing")
+        assert not out.exists()
+
+    def test_oracle_radius_too_small(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, "c.yaml", push_doc(str(out), oracle_radius_mm=2.0))
+        assert cli.main(["push", "--config", path]) == 1
+        assert capsys.readouterr().err.startswith("error: oracle_radius_mm")
+        assert not out.exists()  # no plan that was never validated
+
 
 class TestPushCommand:
     def test_success_artifacts_and_exit_zero(self, tmp_path):
@@ -228,6 +264,15 @@ class TestSweepCommand:
         rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
         assert rows[0] == "v0,dv0,beta_max,success_rate"
         assert len(rows) == 3
+
+    def test_zero_trials_rejected(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        doc = {"task": "sweep", "v0_grid": [0.8], "dv0_grid": [0.05],
+               "beta_grid": [5.0], "out": str(out)}
+        path = write_config(tmp_path, "c.yaml", doc)
+        assert cli.main(["sweep", "--config", path, "--trials", "0"]) == 1
+        assert capsys.readouterr().err.startswith("error: trials must be at least 1")
+        assert not out.exists()
 
 
 class TestRepoConfigs:

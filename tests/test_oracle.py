@@ -10,6 +10,7 @@ from cageintime import ball as B
 from cageintime import oracle
 from cageintime.push import PushProblem, pusher_pose
 from cageintime.trajectories import as_vec2_list, circle
+import scalar_oracle
 
 
 class _StickyRng:
@@ -207,3 +208,87 @@ class TestRolloutBall:
                                  np.zeros(1), (-0.01, 0.01), (-0.05, 0.05))
         assert r1[0] == r2[0]
         assert np.array_equal(r1[1], r2[1])
+
+
+def _noise(rng, R, n):
+    unc = B.default_uncertainty(n)
+    return (rng.normal(0.0, unc.sigma_m, (R, 1)),
+            rng.multivariate_normal(np.zeros(n + 1), unc.Sigma_p, R),
+            rng.normal(0.0, unc.sigma_mu, (R, 1)))
+
+
+def _batch_vs_scalar(plan, traj, tilt0, R, seed):
+    """Integrate R rollouts as one batch and one at a time."""
+    n = tilt0.shape[0]
+    rng = np.random.default_rng(seed)
+    x0 = rng.uniform(-0.02, 0.02, (R, n))
+    v0 = rng.uniform(-0.3, 0.3, (R, n))
+    eta_m, eta_p, eta_mu = _noise(rng, R, n)
+    ball = B.tennis_ball()
+    xs, vs = oracle.integrate_ball(plan, traj, ball, x0, v0, tilt0, 0.02,
+                                   0.002, eta_m, eta_p, eta_mu)
+    assert xs.shape == vs.shape == (len(plan) + 1, R, n)
+    for r in range(R):
+        xs_r, vs_r = scalar_oracle.integrate_ball(
+            plan, traj, ball, x0[r], v0[r], tilt0, 0.02, 0.002,
+            eta_m[r, 0], eta_p[r], eta_mu[r, 0])
+        assert np.array_equal(xs[:, r], xs_r), r
+        assert np.array_equal(vs[:, r], vs_r), r
+
+
+class TestBatchedBallOracle:
+    """The batched RK4 oracle reproduces the one-rollout-at-a-time oracle
+    bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def catch(self):
+        s = B.catching_setup(0.8, 0.05)
+        traj = s.trajectory(3.0)
+        plan, result, _ = B.dynamic_control(
+            s.grid, traj, s.ball, s.unc, s.model, s.params, s.initial_tilt)
+        assert result.success
+        return s, traj, plan
+
+    @pytest.mark.parametrize("R", [1, 20])
+    def test_n1_catch_accels_and_tilt_rates(self, R):
+        # the catch's retreat brakes across steps 14-15
+        traj = B.catching_setup(0.8, 0.05).trajectory(3.0)[:41]
+        rates = np.random.default_rng(11).uniform(-0.5, 0.5, 40)
+        plan = tuple(TiltRate.of([r]) for r in rates)
+        _batch_vs_scalar(plan, traj, np.array([0.02]), R, seed=R)
+
+    @pytest.mark.parametrize("R", [1, 20])
+    def test_n2_with_noise(self, R):
+        xy = np.random.default_rng(5).normal(0.0, 0.01, (31, 2)).cumsum(axis=0)
+        traj = np.column_stack([xy, np.zeros(31)])
+        rates = np.random.default_rng(12).uniform(-0.5, 0.5, (30, 2))
+        plan = tuple(TiltRate.of(r) for r in rates)
+        _batch_vs_scalar(plan, traj, np.array([0.01, -0.03]), R, seed=100 + R)
+
+    def test_single_rollout_takes_unbatched_inputs(self):
+        ball = B.tennis_ball()
+        plan = tuple([TiltRate.of([0.3])] * 20)
+        traj = np.zeros((21, 2))
+        args = (plan, traj, ball, np.array([0.01]), np.array([-0.2]),
+                np.array([0.05]), 0.02, 0.002, 0.03, np.array([0.1, -0.2]), 0.04)
+        xs, vs = oracle.integrate_ball(*args)
+        xs_r, vs_r = scalar_oracle.integrate_ball(*args)
+        assert np.array_equal(xs[:, 0], xs_r) and np.array_equal(vs[:, 0], vs_r)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_rollout_ball_matches_reference_on_catch(self, catch, seed):
+        s, traj, plan = catch
+        xs0, vs0, _ = s.grid.support()
+        args = (plan, traj, s.ball, s.unc, oracle.BallOracleConfig(20, seed),
+                s.grid.x_max, s.params.dt, s.initial_tilt,
+                (float(xs0.min()), float(xs0.max())),
+                (float(vs0.min()), float(vs0.max())))
+        rate, max_abs = oracle.rollout_ball(*args)
+        ref_rate, ref_max_abs = scalar_oracle.rollout_ball(*args)
+        assert rate == ref_rate
+        assert np.array_equal(max_abs, ref_max_abs)
+
+    @pytest.mark.parametrize("rollouts", [0, -1])
+    def test_config_rejects_no_rollouts(self, rollouts):
+        with pytest.raises(ValueError):
+            oracle.BallOracleConfig(rollouts=rollouts)
