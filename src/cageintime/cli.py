@@ -18,7 +18,14 @@ import numpy as np
 from . import ball as ballmod
 from . import oracle as oraclemod
 from .config import BadSpec, RunConfig, ball_trajectory, load_config, push_trajectory
-from .core import CageCircle, PushAngle, Vec2, WaypointSpacingTooLarge, action_to_json
+from .core import (
+    CageCircle,
+    InitialPositionOutsideCage,
+    PushAngle,
+    Vec2,
+    WaypointSpacingTooLarge,
+    action_to_json,
+)
 from .push import PushProblem, initial_set, plan_push, push_step, pusher_pose
 from .render import render_prob_frame, render_push_frame
 from .trajectories import as_vec2_list
@@ -50,8 +57,13 @@ def _push_problem(cfg: RunConfig) -> tuple[PushProblem, Vec2]:
         trajectory=tuple(waypoints),
     )
     q0 = raw.get("initial_position_mm")
-    start = waypoints[0] if q0 is None else Vec2(float(q0[0]), float(q0[1]))
-    return problem, start
+    if q0 is None:
+        return problem, waypoints[0]
+    try:
+        x, y = (float(c) for c in q0)
+        return problem, Vec2(x, y)
+    except (TypeError, ValueError) as e:
+        raise BadSpec(f"initial_position_mm must be two finite numbers, got {q0!r}") from e
 
 
 def _at_least_one(raw: dict, key: str, default: int) -> int:
@@ -77,7 +89,10 @@ def run_push(cfg: RunConfig) -> int:
         )
     except ValueError as e:
         raise BadSpec(f"oracle_radius_mm: {e}") from e
-    plan, result, log = plan_push(problem, start)
+    try:
+        plan, result, log = plan_push(problem, start)
+    except InitialPositionOutsideCage as e:
+        raise BadSpec(f"initial_position_mm: {e}") from e
     _print_warnings(log)
     os.makedirs(cfg.out_dir, exist_ok=True)
     _write_plan(os.path.join(cfg.out_dir, "plan.json"), plan)

@@ -28,6 +28,10 @@ class WaypointSpacingTooLarge(ValueError):
     """Consecutive waypoints are spaced farther apart than the planner supports."""
 
 
+class InitialPositionOutsideCage(ValueError):
+    """The start position lies farther than cage_size from the first waypoint."""
+
+
 class AllMassLost(RuntimeError):
     """All probability mass left the state box during propagation."""
 

@@ -23,6 +23,7 @@ from .core import (
     CageCircle,
     EmptyResult,
     FailureReason,
+    InitialPositionOutsideCage,
     NoAction,
     PSSGrid,
     PushAngle,
@@ -256,41 +257,70 @@ def compute_poa(pss: PSSGrid, r: float) -> PSSGrid:
     if pss.is_empty:
         return pss
     rp = int(math.ceil(r / pss.resolution))
+    h, w = pss.cells.shape
+    # nothing beyond the occupied box plus rp can lie within rp of a cell,
+    # and every cell nearest to a point inside it lies inside it
+    rows = np.flatnonzero(pss.cells.any(axis=1))
+    cols = np.flatnonzero(pss.cells.any(axis=0))
+    i0, i1 = max(rows[0] - rp, 0), min(rows[-1] + rp + 1, h)
+    j0, j1 = max(cols[0] - rp, 0), min(cols[-1] + rp + 1, w)
     # disk dilation via the exact Euclidean distance transform (much faster
     # than morphological dilation with a large disk element)
-    dil = ndimage.distance_transform_edt(~pss.cells) <= rp
+    dil = np.zeros((h, w), dtype=bool)
+    dil[i0:i1, j0:j1] = ndimage.distance_transform_edt(~pss.cells[i0:i1, j0:j1]) <= rp
     return PSSGrid(cells=dil, resolution=pss.resolution, frame_center=pss.frame_center)
+
+
+# candidate angles scored per broadcast: a (K x M) array for all K at once
+# costs more memory than the time it saves
+SCORE_BLOCK = 16
 
 
 def heuristic_score(
     poa: PSSGrid,
-    theta_k: float,
+    thetas: np.ndarray,
     cage_next: CageCircle,
     lambda1: float,
     lambda2: float,
     R: float,
-) -> float:
-    """Outlier score for one candidate angle.
+) -> np.ndarray:
+    """Outlier scores of the candidate angles ``thetas``, shape (K,).
 
     The candidate pusher line is tangent to the circle of radius R around
     the cage center at angle theta_k, with outward normal (cos, sin) of
     theta_k. S_out is the POA area strictly beyond that line (the far side
     from the cage center), d_out the largest perpendicular distance of a POA
     cell past it. Both are normalized (by cage area and cage radius) before
-    weighting.
+    weighting; an angle with no POA cell beyond its line scores 0.
     """
-    nx, ny = math.cos(theta_k), math.sin(theta_k)
-    px, py = cage_next.center.x + R * nx, cage_next.center.y + R * ny
     x, y = poa.world(*np.nonzero(poa.cells))
-    s = (x - px) * nx + (y - py) * ny
-    out = s > 1e-9
-    if not out.any():
-        return 0.0
     rho = poa.resolution
-    s_out = float(out.sum()) * rho * rho
-    d_out = float(s[out].max())
     cage_area = math.pi * cage_next.radius**2
-    return lambda1 * (s_out / cage_area) + lambda2 * (d_out / cage_next.radius) ** 2
+    scores = np.zeros(len(thetas))
+    s_buf = np.empty((SCORE_BLOCK, x.size))
+    t_buf = np.empty_like(s_buf)
+    for lo in range(0, len(thetas), SCORE_BLOCK):
+        block = thetas[lo : lo + SCORE_BLOCK]
+        nx = np.array([math.cos(th) for th in block])[:, None]
+        ny = np.array([math.sin(th) for th in block])[:, None]
+        px, py = cage_next.center.x + R * nx, cage_next.center.y + R * ny
+        s, t = s_buf[: len(block)], t_buf[: len(block)]
+        np.subtract(x, px, out=s)
+        s *= nx
+        np.subtract(y, py, out=t)
+        t *= ny
+        s += t  # (x - px) * nx + (y - py) * ny, one row per angle
+        n_out = np.count_nonzero(s > 1e-9, axis=1)
+        # the largest projection is past the line whenever any cell is
+        d_out = s.max(axis=1, initial=-math.inf)
+        # finish in Python floats: `** 2` there is C pow, which can differ
+        # in the last bit from numpy's x * x
+        for i, (n, d) in enumerate(zip(n_out.tolist(), d_out.tolist())):
+            if n:
+                s_out = float(n) * rho * rho
+                d_term = (d / cage_next.radius) ** 2
+                scores[lo + i] = lambda1 * (s_out / cage_area) + lambda2 * d_term
+    return scores
 
 
 def _angular_distance(a: float, b: float) -> float:
@@ -318,12 +348,7 @@ def find_push(
     # score against a line tangent to the triggering cage: a cell that just
     # violated containment must register as sticking out for some angle
     score_R = cage_next.radius + problem.object_radius
-    scores = np.array(
-        [
-            heuristic_score(poa, th, cage_next, problem.lambda1, problem.lambda2, score_R)
-            for th in thetas
-        ]
-    )
+    scores = heuristic_score(poa, thetas, cage_next, problem.lambda1, problem.lambda2, score_R)
     order = np.lexsort((ks, -scores))  # descending score, then lowest k
     top = order[: min(problem.shortlist, problem.K)]
     if prev_action is None:
@@ -407,8 +432,12 @@ def plan_push(
             f"waypoint spacing {spacing:.3f} mm exceeds "
             f"cage_size/2 = {problem.cage_size / 2.0:.3f} mm"
         )
-    if (initial_position - problem.trajectory[0]).norm() > problem.cage_size:
-        raise ValueError("initial position lies outside the first cage")
+    offset = (initial_position - problem.trajectory[0]).norm()
+    if offset > problem.cage_size:
+        raise InitialPositionOutsideCage(
+            f"{offset:.3f} mm from the first waypoint exceeds "
+            f"cage_size = {problem.cage_size:.3f} mm"
+        )
     pss = initial_set(problem, initial_position)
     log = RunLog()
     steps: list = []

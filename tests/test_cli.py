@@ -98,6 +98,23 @@ class TestConfigValidation:
         assert capsys.readouterr().err.startswith("error: rollouts must be at least 1")
         assert not out.exists()
 
+    def test_initial_position_outside_first_cage(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        # the first waypoint of the 60 mm circle is 60 mm from the origin
+        doc = push_doc(str(out), initial_position_mm=[0.0, 0.0])
+        path = write_config(tmp_path, "c.yaml", doc)
+        assert cli.main(["push", "--config", path]) == 1
+        assert capsys.readouterr().err.startswith("error: initial_position_mm:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("q0", [5.0, [1.0], [1.0, 2.0, 3.0], ["a", 0.0], [float("nan"), 0.0]])
+    def test_malformed_initial_position(self, tmp_path, capsys, q0):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, "c.yaml", push_doc(str(out), initial_position_mm=q0))
+        assert cli.main(["push", "--config", path]) == 1
+        assert capsys.readouterr().err.startswith("error: initial_position_mm must be two")
+        assert not out.exists()
+
     def test_waypoint_spacing_too_large(self, tmp_path, capsys):
         out = tmp_path / "out"
         doc = push_doc(str(out))

@@ -1,6 +1,7 @@
 """Quasi-static pushing planner: geometry, propagation, and plan properties."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -31,9 +32,13 @@ from cageintime.push import (
     trigger_cage,
     verify_push_plan,
 )
-from cageintime import oracle
+from cageintime import cli, oracle
 from cageintime import push as push_module
+from cageintime.config import load_config
 from cageintime.trajectories import as_vec2_list, circle
+import scalar_score
+
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 def brute_force_dilation(cells: np.ndarray, radius_px: int) -> np.ndarray:
@@ -173,6 +178,126 @@ class TestPOA:
         d2 = (pi[:, None] - si[None, :]) ** 2 + (pj[:, None] - sj[None, :]) ** 2
         assert np.all(d2.min(axis=1) <= math.ceil(4.0) ** 2)
 
+    # the crop is the occupied box plus rp, clipped to the window: a box
+    # inside the window, cells against an edge, in both corners, and a box
+    # that covers the window
+    @pytest.mark.parametrize("shape,occupied,r", [
+        ((40, 50), [(15, 20), (22, 27)], 6.0),
+        ((40, 50), [(0, 20), (1, 21), (39, 3)], 6.0),
+        ((40, 50), [(0, 0), (39, 49)], 6.0),
+        ((12, 9), [(6, 4)], 6.0),
+        ((12, 9), [(0, 8), (11, 0)], 2.5),
+    ])
+    def test_crop_matches_brute_force_dilation(self, shape, occupied, r):
+        cells = np.zeros(shape, dtype=bool)
+        cells[tuple(np.array(occupied).T)] = True
+        g = PSSGrid(cells, 1.0, Vec2(0.0, 0.0))
+        poa = compute_poa(g, r)
+        assert np.array_equal(poa.cells, brute_force_dilation(cells, int(math.ceil(r))))
+
+
+def angles(K: int) -> np.ndarray:
+    """The candidate angles of ``find_push``, theta_k = 2 pi k / K."""
+    return 2.0 * math.pi * np.arange(1, K + 1) / K
+
+
+class TestHeuristicScore:
+    """The batched scores equal the old one-angle-per-call scores bitwise,
+    so every plan stays the same."""
+
+    @staticmethod
+    def _both(poa, thetas, cage, R, lambda1=1.0, lambda2=1.0):
+        batch = push_module.heuristic_score(poa, thetas, cage, lambda1, lambda2, R)
+        return batch, scalar_score.scores(poa, thetas, cage, lambda1, lambda2, R)
+
+    @pytest.mark.parametrize("K", [3, 16, 17, 32, 128])
+    def test_matches_scalar_on_random_poas(self, K):
+        rng = np.random.default_rng(K)
+        for _ in range(4):
+            cells = rng.random((61, 61)) < 0.02
+            # Python floats, as find_push passes them
+            rho, r, dx, dy, radius, dR, l1, l2, cx, cy, th = (
+                rng.uniform(0.0, 1.0, 11) * [1, 6, 6, 6, 10, 10, 2, 2, 100, 100, 2 * math.pi]
+                + [0.5, 2, -3, -3, 5, 0, 0.1, 0.1, -50, -50, 0]
+            ).tolist()
+            g = PSSGrid(cells, rho, Vec2(cx, cy))
+            poa = compute_poa(g, r)
+            cage = CageCircle(g.frame_center + Vec2(dx, dy), radius)
+            thetas = np.append(angles(K)[: K - 1], th)  # and one off-grid angle
+            batch, scalar = self._both(poa, thetas, cage, radius + dR, l1, l2)
+            assert batch.shape == (K,)
+            assert (batch > 0).any()
+            assert np.array_equal(batch, scalar)
+
+    def test_one_cell_poa(self):
+        cells = np.zeros((21, 21), dtype=bool)
+        cells[3, 17] = True
+        poa = PSSGrid(cells, 1.0, Vec2(0.0, 0.0))
+        batch, scalar = self._both(poa, angles(17), CageCircle(Vec2(0.0, 0.0), 4.0), 6.0)
+        assert np.count_nonzero(batch) > 0
+        assert np.array_equal(batch, scalar)
+
+    def test_angle_without_outlier_scores_zero(self):
+        # one cell 8 mm right of the cage center: only the lines tangent at
+        # 5 mm on the right side have it beyond them
+        g = PSSGrid.from_points(np.array([[8.0, 0.0]]), 1.0, Vec2(0.0, 0.0), (21, 21))
+        thetas = angles(16)
+        batch, scalar = self._both(g, thetas, CageCircle(Vec2(0.0, 0.0), 4.0), 5.0)
+        assert batch[7] == 0.0 and batch[15] > 0.0  # theta = pi and 2 pi
+        assert np.array_equal(batch, scalar)
+        empty = PSSGrid(np.zeros((21, 21), dtype=bool), 1.0, Vec2(0.0, 0.0))
+        batch, scalar = self._both(empty, thetas, CageCircle(Vec2(0.0, 0.0), 4.0), 5.0)
+        assert np.array_equal(batch, np.zeros(16)) and np.array_equal(batch, scalar)
+
+    def test_matches_scalar_on_push_circle_plan(self, monkeypatch):
+        calls = []
+        real = push_module.heuristic_score
+
+        def record(*args):
+            calls.append((args, real(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(push_module, "heuristic_score", record)
+        problem, start = cli._push_problem(load_config(os.path.join(CONFIGS, "push_circle.yaml")))
+        plan, result, _ = plan_push(problem, start)
+        assert result.success
+        assert len(calls) == sum(isinstance(a, PushAngle) for a in plan) > 100
+        for args, batch in calls:
+            assert batch.shape == (problem.K,)
+            assert np.array_equal(batch, scalar_score.scores(*args))
+
+
+class TestFindPushTieBreaks:
+    """Two cells mirrored about the y axis through the cage center: the
+    lines at theta = pi (k = 8) and 2 pi (k = 16) cut equal POA areas to
+    equal depths, and their scores tie exactly above every other angle."""
+
+    @staticmethod
+    def _mirrored():
+        prob = small_problem(K=16, shortlist=2)
+        g = PSSGrid.from_points(np.array([[-14.0, 0.0], [14.0, 0.0]]), 1.0,
+                                Vec2(0.0, 0.0), (prob.grid_size,) * 2)
+        cage = CageCircle(Vec2(0.0, 0.0), 10.0)
+        poa = compute_poa(g, prob.object_radius)
+        scores = push_module.heuristic_score(poa, angles(16), cage, prob.lambda1,
+                                             prob.lambda2, cage.radius + prob.object_radius)
+        top = np.flatnonzero(scores == scores.max()) + 1
+        assert list(top) == [8, 16]
+        return prob, g, cage
+
+    def test_equal_scores_pick_lowest_k(self):
+        prob, g, cage = self._mirrored()
+        assert find_push(g, prob, cage, None) == PushAngle(theta=math.pi, k=8)
+
+    def test_equal_distance_from_previous_picks_lowest_k(self):
+        # pi / 2 lies exactly halfway between the two shortlisted angles
+        prob, g, cage = self._mirrored()
+        prev = math.pi / 2.0
+        thetas = angles(16)
+        assert (push_module._angular_distance(thetas[7], prev)
+                == push_module._angular_distance(thetas[15], prev))
+        assert find_push(g, prob, cage, prev) == PushAngle(theta=math.pi, k=8)
+
 
 class TestPropagatePSS:
     def test_null_action_is_pure_translation(self):
@@ -295,6 +420,19 @@ class TestPlanProperties:
         prob = small_problem()
         plan_push(prob, prob.trajectory[0])
         assert len(calls) == 1
+
+    def test_heuristic_score_once_per_push_step(self, monkeypatch):
+        # find_push scores all K angles in one call, and returns before
+        # scoring when the set is already contained
+        calls = []
+        real = push_module.heuristic_score
+        monkeypatch.setattr(push_module, "heuristic_score",
+                            lambda *args: calls.append(args) or real(*args))
+        prob = small_problem()
+        plan, _, _ = plan_push(prob, prob.trajectory[0])
+        pushes = sum(isinstance(a, PushAngle) for a in plan)
+        assert 0 < pushes < len(plan)
+        assert len(calls) == pushes
 
     def test_no_push_when_contained(self):
         prob = small_problem()
