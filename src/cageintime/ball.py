@@ -11,7 +11,6 @@ collapsing the belief.
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 from dataclasses import dataclass, replace
@@ -141,65 +140,55 @@ class ControlParams:
             raise ValueError("beta_max must be nonnegative")
 
 
+@functools.lru_cache(maxsize=None)
+def _axis(half_width: float, N: int) -> np.ndarray:
+    """Read-only coordinates of N cells spanning [-half_width, half_width],
+    shared by every grid on that axis."""
+    axis = np.linspace(-half_width, half_width, N)
+    axis.setflags(write=False)
+    return axis
+
+
 class ProbGrid:
     """Normalized probability over the 2n-dimensional (position, velocity) box,
     stored on its support.
 
     cells (M, 2n) holds the integer indices of the supported cells along the
     axes (x[, y], vx[, vy]), in C order, and p (M,) their masses; axis
-    coordinate i maps to -max + i * 2*max/(N-1). values is the dense
-    (N,)*2n view, built on each access.
+    coordinate i maps to -max + i * 2*max/(N-1). The masses must be positive
+    and are normalized on construction. values is the dense (N,)*2n view,
+    built on each access.
     """
 
-    def __init__(self, n: int, N: int, x_max: float, v_max: float, values: np.ndarray):
-        vals = np.asarray(values, dtype=float)
-        if vals.shape != (N,) * (2 * n):
-            raise ValueError("values shape must be (N,)*2n")
-        if vals.min() < 0:
-            raise ValueError("probabilities must be nonnegative")
-        s = vals.sum()
-        if s <= 0:
-            raise ValueError("support must be nonempty")
-        vals = vals / s
-        idx = np.nonzero(vals)
-        self._set_axes(n, N, x_max, v_max)
-        self._set_support(np.column_stack(idx), vals[idx])
-
-    @classmethod
-    def _on_axes(cls, n: int, N: int, x_max: float, v_max: float) -> "ProbGrid":
-        """A grid with its axes but no support yet, for ``_with_support``."""
-        grid = cls.__new__(cls)
-        grid._set_axes(n, N, x_max, v_max)
-        return grid
-
-    def _with_support(self, cells: np.ndarray, p: np.ndarray) -> "ProbGrid":
-        """A grid on these axes holding the positive masses p, normalized, at
-        the C-ordered cell indices cells."""
-        if len(p) == 0:
-            raise ValueError("support must be nonempty")
-        grid = copy.copy(self)
-        grid._set_support(cells, p / p.sum())
-        return grid
-
-    def _set_axes(self, n, N, x_max, v_max) -> None:
+    def __init__(self, n: int, N: int, x_max: float, v_max: float,
+                 cells: np.ndarray, p: np.ndarray):
         if n not in (1, 2):
             raise ValueError("n must be 1 or 2")
         if N < 3 or N % 2 == 0:
             raise ValueError("N must be odd and at least 3")
+        cells = np.asarray(cells)
+        p = np.asarray(p, dtype=float)
+        if cells.ndim != 2 or cells.shape[1] != 2 * n or cells.dtype.kind not in "iu":
+            raise ValueError(f"cells must be integer indices of shape (M, {2 * n})")
+        if p.shape != cells.shape[:1]:
+            raise ValueError("p must hold one mass per cell")
+        if len(p) == 0:
+            raise ValueError("support must be nonempty")
+        total = p.sum()
+        if not (p.min() > 0 and math.isfinite(total)):
+            raise ValueError("masses must be positive with a finite sum")
+        if cells.min() < 0 or cells.max() >= N:
+            raise ValueError(f"cell indices must lie in [0, {N})")
         self.n = n
         self.N = N
         self.x_max = x_max
         self.v_max = v_max
-        self.x_axis = np.linspace(-x_max, x_max, N)
-        self.v_axis = np.linspace(-v_max, v_max, N)
-        self.x_axis.setflags(write=False)
-        self.v_axis.setflags(write=False)
-
-    def _set_support(self, cells, p) -> None:
+        self.x_axis = _axis(x_max, N)
+        self.v_axis = _axis(v_max, N)
         self.cells = cells
-        self.p = p
+        self.p = p / total
         cells.setflags(write=False)
-        p.setflags(write=False)
+        self.p.setflags(write=False)
 
     @property
     def values(self) -> np.ndarray:
@@ -227,23 +216,14 @@ class ProbGrid:
         return self.x_axis[self.cells[:, :self.n]], self.v_axis[self.cells[:, self.n:]], self.p
 
     @classmethod
-    def delta(cls, n: int, N: int, x_max: float, v_max: float,
-              x, v) -> "ProbGrid":
-        """Point mass at the cell nearest (x, v)."""
-        grid = cls._on_axes(n, N, x_max, v_max)
-        cell = np.clip(grid.nearest(np.atleast_1d(x), np.atleast_1d(v)), 0, N - 1)
-        return grid._with_support(cell.astype(int).reshape(1, 2 * n), np.ones(1))
-
-    @classmethod
     def box(cls, n: int, N: int, x_max: float, v_max: float,
             x_lo, x_hi, v_lo, v_hi) -> "ProbGrid":
         """Uniform mass over cells inside the given position/velocity ranges."""
-        grid = cls._on_axes(n, N, x_max, v_max)
         x_lo = np.broadcast_to(np.atleast_1d(np.asarray(x_lo, float)), (n,))
         x_hi = np.broadcast_to(np.atleast_1d(np.asarray(x_hi, float)), (n,))
         v_lo = np.broadcast_to(np.atleast_1d(np.asarray(v_lo, float)), (n,))
         v_hi = np.broadcast_to(np.atleast_1d(np.asarray(v_hi, float)), (n,))
-        ax, av = grid.x_axis, grid.v_axis
+        ax, av = _axis(x_max, N), _axis(v_max, N)
         masks = []
         for d in range(n):
             masks.append((ax >= x_lo[d] - 1e-12) & (ax <= x_hi[d] + 1e-12))
@@ -252,24 +232,20 @@ class ProbGrid:
         # the product of the per-axis index sets, in C order
         mesh = np.meshgrid(*[np.flatnonzero(mk) for mk in masks], indexing="ij")
         cells = np.column_stack([m.ravel() for m in mesh])
-        return grid._with_support(cells, np.ones(len(cells)))
+        return cls(n, N, x_max, v_max, cells, np.ones(len(cells)))
 
 
 # --- plate-frame kinematics and dynamics ----------------------------------
 
 
-def plate_frame_accels(plate: PlateState, g: float = G):
-    """In-plane components of gravity and plate acceleration, per tilt axis.
-
-    Returns (g_theta, a_p, a_eff) with a_eff = g_theta + a_p; for n=1 this is
-    (g + ddz) sin(theta) + ddx cos(theta).
+def plate_frame_accels(plate: PlateState) -> np.ndarray:
+    """In-plane acceleration a_eff (n,) of gravity and the plate, per tilt
+    axis; for n=1 this is (g + ddz) sin(theta) + ddx cos(theta).
     """
     t = plate.tilt
     ddz = plate.accel[plate.n]
     dd_in = plate.accel[: plate.n]
-    g_theta = g * np.sin(t)
-    a_p = ddz * np.sin(t) + dd_in * np.cos(t)
-    return g_theta, a_p, g_theta + a_p
+    return G * np.sin(t) + (ddz * np.sin(t) + dd_in * np.cos(t))
 
 
 def _inplane_jacobian(plate: PlateState) -> np.ndarray:
@@ -287,24 +263,25 @@ def accel_distribution(
     ball: BallParams,
     unc: UncertaintyModel,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gaussian ball acceleration at velocities v (..., n): mean (..., n) and
-    covariance (..., n, n). The position does not enter.
+    """Gaussian ball acceleration at velocities v (..., n): mean and
+    per-axis variance, both (..., n). The position does not enter.
 
-    Mean is the noise-free dynamics; covariance is first-order propagation
-    of the mass, plate-acceleration, and friction noise channels.
+    Mean is the noise-free dynamics; variance is the diagonal of the
+    first-order propagation of the mass, plate-acceleration, and friction
+    noise channels.
     """
     v = np.asarray(v, dtype=float)
-    _, _, a_eff = plate_frame_accels(plate)
+    a_eff = plate_frame_accels(plate)
     k = ball.kappa
     drive = k * a_eff  # sensitivity to relative mass error
     mu = drive - ball.mu_r * v
     T = _inplane_jacobian(plate)
-    Sigma = (
-        unc.sigma_m**2 * np.outer(drive, drive)
-        + k**2 * (T @ unc.Sigma_p @ T.T)
-        + unc.sigma_mu**2 * (v[..., :, None] * v[..., None, :])
+    var = (
+        unc.sigma_m**2 * drive**2
+        + k**2 * np.diagonal(T @ unc.Sigma_p @ T.T)
+        + unc.sigma_mu**2 * v**2
     )
-    return mu, Sigma
+    return mu, var
 
 
 # --- energy cage ----------------------------------------------------------
@@ -324,7 +301,7 @@ def energy(x, v, a_eff, model: EnergyModel) -> float:
 
 def e_max(plate: PlateState, model: EnergyModel) -> float:
     """Escape level: lowest static energy on the plate boundary."""
-    _, _, a_eff = plate_frame_accels(plate)
+    a_eff = plate_frame_accels(plate)
     l = plate.half_length
     if plate.n == 1:
         return 0.5 * model.k_ve * l * l - model.mass * abs(float(a_eff[0])) * l
@@ -338,7 +315,7 @@ def e_max(plate: PlateState, model: EnergyModel) -> float:
 
 def _energy_field(grid: ProbGrid, plate: PlateState, model: EnergyModel) -> np.ndarray:
     """Energy of every supported cell, aligned with grid.p."""
-    _, _, a_eff = plate_frame_accels(plate)
+    a_eff = plate_frame_accels(plate)
     ax, av = grid.x_axis, grid.v_axis
     n = grid.n
     E = np.zeros(len(grid.p))
@@ -392,15 +369,15 @@ def propagate_prob(
 
     Each supported cell spreads its mass over a 7-node-per-dimension
     deterministic quadrature of its Gaussian acceleration (the mean and the
-    diagonal of the covariance from ``accel_distribution``), deposited at the
+    per-axis variance from ``accel_distribution``), deposited at the
     nearest destination cell of one Euler step. Mass leaving the box is
     returned as lost_mass; cells below 1e-3 of the peak are pruned before
     renormalizing.
     """
     n, N = grid.n, grid.N
     xs, vs, ps = grid.support()
-    mu, Sigma = accel_distribution(vs, plate, ball, unc)  # (M, n), (M, n, n)
-    sig = np.sqrt(np.diagonal(Sigma, axis1=-2, axis2=-1))
+    mu, var = accel_distribution(vs, plate, ball, unc)  # (M, n) each
+    sig = np.sqrt(var)
 
     offs, wts = _QUAD_RULES[n]
     nodes = mu[:, None, :] + offs[None, :, :] * sig[:, None, :]  # (M, 7^n, n)
@@ -421,8 +398,7 @@ def propagate_prob(
     cell_mass = np.bincount(inv, weights=mass[ok])
     keep = cell_mass >= 1e-3 * cell_mass.max()
     cells = np.column_stack(np.unravel_index(keys[keep], shape))
-    out = grid._with_support(cells, cell_mass[keep])
-    return out, lost
+    return ProbGrid(n, N, grid.x_max, grid.v_max, cells, cell_mass[keep]), lost
 
 
 # --- Lie derivatives and the control loop ---------------------------------

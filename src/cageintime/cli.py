@@ -12,20 +12,14 @@ import json
 import os
 import sys
 from dataclasses import replace
+from typing import Callable
 
 import numpy as np
 
 from . import ball as ballmod
 from . import oracle as oraclemod
 from .config import BadSpec, RunConfig, ball_trajectory, load_config, push_trajectory
-from .core import (
-    CageCircle,
-    InitialPositionOutsideCage,
-    PushAngle,
-    Vec2,
-    WaypointSpacingTooLarge,
-    action_to_json,
-)
+from .core import CageCircle, PushAngle, Vec2, action_to_json
 from .push import PushProblem, initial_set, plan_push, push_step, pusher_pose
 from .render import render_prob_frame, render_push_frame
 from .trajectories import as_vec2_list
@@ -40,21 +34,19 @@ def _write_plan(path: str, plan) -> None:
         fh.write("\n")
 
 
+# config keys of the PushProblem fields: the field name, with _mm on a length;
+# a field the config leaves out keeps its PushProblem default
+_PUSH_KEYS = ("object_radius_mm", "cage_size_mm", "K", "d_push_mm", "pusher_length_mm",
+              "resolution_mm", "lambda1", "lambda2", "margin_mm", "shortlist")
+
+
 def _push_problem(cfg: RunConfig) -> tuple[PushProblem, Vec2]:
     raw = cfg.raw
     waypoints = as_vec2_list(push_trajectory(raw))
+    given = {key.removesuffix("_mm"): raw[key] for key in _PUSH_KEYS if key in raw}
     problem = PushProblem(
-        object_radius=float(raw.get("object_radius_mm", 25.0)),
-        cage_size=float(raw.get("cage_size_mm", 20.0)),
-        K=int(raw.get("K", 128)),
-        d_push=float(raw.get("d_push_mm", 20.0)),
-        pusher_length=float(raw.get("pusher_length_mm", 100.0)),
-        resolution=float(raw.get("resolution_mm", 1.0)),
-        lambda1=float(raw.get("lambda1", 1.0)),
-        lambda2=float(raw.get("lambda2", 1.0)),
-        margin=float(raw.get("margin_mm", 4.0)),
-        shortlist=int(raw.get("shortlist", 2)),
         trajectory=tuple(waypoints),
+        **{name: type(getattr(PushProblem, name))(value) for name, value in given.items()},
     )
     q0 = raw.get("initial_position_mm")
     if q0 is None:
@@ -73,26 +65,42 @@ def _at_least_one(raw: dict, key: str, default: int) -> int:
     return value
 
 
+def _ball_setup(raw: dict) -> tuple[ballmod.TaskSetup, np.ndarray]:
+    mode = raw.get("mode", "balance")
+    n = int(raw.get("n", 1))
+    common = dict(
+        N=int(raw.get("N", 81 if n == 1 else 31)),
+        v_max=float(raw.get("v_max_m_s", 1.0)),
+        beta_max=float(raw.get("beta_max", 25.0)),
+    )
+    if mode == "catch":
+        setup = ballmod.catching_setup(
+            v_center=float(raw.get("v0_m_s", 0.8)),
+            dv=float(raw.get("dv0_m_s", 0.05)),
+            k_ve=float(raw.get("k_ve", 60.0)),
+            half_length=float(raw.get("half_length_m", 0.15)),
+            **common,
+        )
+    else:
+        setup = ballmod.balancing_setup(
+            n=n, k_ve=float(raw.get("k_ve", 10.0)),
+            half_length=float(raw.get("half_length_m", 0.08)),
+            **common,
+        )
+    traj = ball_trajectory(raw, setup.params.dt, setup.grid.n)
+    if traj is None:
+        traj = setup.trajectory(float(raw["trajectory"].get("horizon_s", 3.0)))
+    return setup, traj
+
+
 def _print_warnings(log) -> None:
     for message in log.warnings:
         print(f"warning: {message}", file=sys.stderr)
 
 
-def run_push(cfg: RunConfig) -> int:
-    problem, start = _push_problem(cfg)
-    # the oracle settings are checked before planning, so a bad one writes nothing
-    rollouts = _at_least_one(cfg.raw, "rollouts", 20)
-    try:
-        ocfg = oraclemod.PushOracleConfig(
-            object_radius=float(cfg.raw.get("oracle_radius_mm", problem.object_radius)),
-            seed=cfg.seed,
-        )
-    except ValueError as e:
-        raise BadSpec(f"oracle_radius_mm: {e}") from e
-    try:
-        plan, result, log = plan_push(problem, start)
-    except InitialPositionOutsideCage as e:
-        raise BadSpec(f"initial_position_mm: {e}") from e
+def run_push(cfg: RunConfig, problem: PushProblem, start: Vec2, rollouts: int,
+             ocfg: oraclemod.PushOracleConfig) -> int:
+    plan, result, log = plan_push(problem, start)
     _print_warnings(log)
     os.makedirs(cfg.out_dir, exist_ok=True)
     _write_plan(os.path.join(cfg.out_dir, "plan.json"), plan)
@@ -148,35 +156,8 @@ def _ball_frames(setup: ballmod.TaskSetup, traj, plan):
         yield render_prob_frame(grid)
 
 
-def run_ball(cfg: RunConfig) -> int:
-    raw = cfg.raw
-    mode = raw.get("mode", "balance")
-    n = int(raw.get("n", 1))
-    common = dict(
-        N=int(raw.get("N", 81 if n == 1 else 31)),
-        v_max=float(raw.get("v_max_m_s", 1.0)),
-        beta_max=float(raw.get("beta_max", 25.0)),
-    )
-    if mode == "catch":
-        setup = ballmod.catching_setup(
-            v_center=float(raw.get("v0_m_s", 0.8)),
-            dv=float(raw.get("dv0_m_s", 0.05)),
-            k_ve=float(raw.get("k_ve", 60.0)),
-            half_length=float(raw.get("half_length_m", 0.15)),
-            **common,
-        )
-    else:
-        setup = ballmod.balancing_setup(
-            n=n, k_ve=float(raw.get("k_ve", 10.0)),
-            half_length=float(raw.get("half_length_m", 0.08)),
-            **common,
-        )
-    traj = ball_trajectory(raw, setup.params.dt, setup.grid.n)
-    if traj is None:
-        traj = setup.trajectory(float(raw["trajectory"].get("horizon_s", 3.0)))
-    ocfg = oraclemod.BallOracleConfig(
-        rollouts=_at_least_one(raw, "rollouts", 20), seed=cfg.seed
-    )
+def run_ball(cfg: RunConfig, setup: ballmod.TaskSetup, traj: np.ndarray,
+             ocfg: oraclemod.BallOracleConfig) -> int:
     plan, result, log = ballmod.dynamic_control(
         setup.grid, traj, setup.ball, setup.unc, setup.model, setup.params,
         setup.initial_tilt,
@@ -207,16 +188,8 @@ def run_ball(cfg: RunConfig) -> int:
     return 0 if rate == 1.0 else 3
 
 
-def run_sweep(cfg: RunConfig) -> int:
-    raw = cfg.raw
-    rows = oraclemod.sensitivity_sweep(
-        [float(v) for v in raw["v0_grid"]],
-        [float(v) for v in raw["dv0_grid"]],
-        [float(v) for v in raw["beta_grid"]],
-        trials=_at_least_one(raw, "trials", 100),
-        seed=cfg.seed,
-        horizon_s=float(raw.get("horizon_s", 3.0)),
-    )
+def run_sweep(cfg: RunConfig, sweep: dict) -> int:
+    rows = oraclemod.sensitivity_sweep(**sweep)
     os.makedirs(cfg.out_dir, exist_ok=True)
     with open(os.path.join(cfg.out_dir, "sweep.csv"), "w", newline="") as fh:
         wr = csv.writer(fh)
@@ -227,12 +200,55 @@ def run_sweep(cfg: RunConfig) -> int:
     return 0
 
 
-def run(cfg: RunConfig) -> int:
+def _task_run(cfg: RunConfig) -> Callable[[], int]:
+    """Everything the task derives from its config, built before planning.
+    Returns the run, which plans, checks and writes."""
+    raw = cfg.raw
     if cfg.task == "push":
-        return run_push(cfg)
+        problem, start = _push_problem(cfg)
+        rollouts = _at_least_one(raw, "rollouts", 20)
+        ocfg = oraclemod.PushOracleConfig(
+            object_radius=float(raw.get("oracle_radius_mm", problem.object_radius)),
+            seed=cfg.seed,
+        )
+        return lambda: run_push(cfg, problem, start, rollouts, ocfg)
     if cfg.task == "ball":
-        return run_ball(cfg)
-    return run_sweep(cfg)
+        setup, traj = _ball_setup(raw)
+        ocfg = oraclemod.BallOracleConfig(rollouts=int(raw.get("rollouts", 20)), seed=cfg.seed)
+        return lambda: run_ball(cfg, setup, traj, ocfg)
+    sweep = dict(
+        v0_grid=[float(v) for v in raw["v0_grid"]],
+        dv0_grid=[float(v) for v in raw["dv0_grid"]],
+        beta_grid=[float(v) for v in raw["beta_grid"]],
+        trials=_at_least_one(raw, "trials", 100),
+        seed=cfg.seed,
+        horizon_s=float(raw.get("horizon_s", 3.0)),
+    )
+    return lambda: run_sweep(cfg, sweep)
+
+
+def _prepared(args: argparse.Namespace) -> Callable[[], int]:
+    """Load the config and build the run before anything is planned or
+    written; a value the task rejects is raised as BadSpec."""
+    try:
+        cfg = load_config(
+            args.config, seed=args.seed, out_dir=args.out,
+            render=args.render or args.command == "render",
+        )
+        if args.trials is not None:
+            cfg.raw["trials"] = args.trials
+            cfg.raw["rollouts"] = args.trials
+        expected = {"push": "push", "ball": "ball", "sweep": "sweep", "render": cfg.task}
+        if cfg.task != expected[args.command]:
+            raise BadSpec(f"config task {cfg.task!r} does not match command "
+                          f"{args.command!r}")
+        return _task_run(cfg)
+    except BadSpec:
+        raise
+    except KeyError as e:
+        raise BadSpec(f"missing config field {e}") from e
+    except (ValueError, TypeError) as e:
+        raise BadSpec(str(e)) from e
 
 
 def main(argv=None) -> int:
@@ -250,24 +266,8 @@ def main(argv=None) -> int:
         p.add_argument("--trials", type=int, default=None)
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(
-            args.config, seed=args.seed, out_dir=args.out,
-            render=args.render or args.command == "render",
-        )
+        return _prepared(args)()
     except BadSpec as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    if args.trials is not None:
-        cfg.raw["trials"] = args.trials
-        cfg.raw["rollouts"] = args.trials
-    expected = {"push": "push", "ball": "ball", "sweep": "sweep", "render": cfg.task}
-    if cfg.task != expected[args.command]:
-        print(f"error: config task {cfg.task!r} does not match command "
-              f"{args.command!r}", file=sys.stderr)
-        return 1
-    try:
-        return run(cfg)
-    except (BadSpec, WaypointSpacingTooLarge) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except OSError as e:

@@ -24,20 +24,20 @@ class EmptyResult(RuntimeError):
     """A propagation step produced an empty state set (modeling inconsistency)."""
 
 
-class WaypointSpacingTooLarge(ValueError):
+class BadSpec(ValueError):
+    """A configuration or trajectory spec is malformed."""
+
+
+class WaypointSpacingTooLarge(BadSpec):
     """Consecutive waypoints are spaced farther apart than the planner supports."""
 
 
-class InitialPositionOutsideCage(ValueError):
+class InitialPositionOutsideCage(BadSpec):
     """The start position lies farther than cage_size from the first waypoint."""
 
 
 class AllMassLost(RuntimeError):
     """All probability mass left the state box during propagation."""
-
-
-class BadSpec(ValueError):
-    """A configuration or trajectory spec is malformed."""
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ class PushOracleConfig:
 
     def __post_init__(self):
         if not self.delta_m < self.object_radius / 4.0:
-            raise ValueError("object radius must exceed 4 micro-steps")
+            raise ValueError("oracle_radius_mm: object radius must exceed 4 micro-steps")
 
 
 def peshkin_delta_beta(a: float, c: float, beta0: float, m: float) -> float:
@@ -261,25 +261,6 @@ def _accel(v, sin, cos, noisy, gain, drag) -> np.ndarray:
     n = sin.shape[0]
     a_eff = ballmod.G * sin + (noisy[..., n:] * sin + noisy[..., :n] * cos)
     return gain * a_eff - drag * v
-
-
-def _exact_accel(
-    x: np.ndarray,
-    v: np.ndarray,
-    tilt: np.ndarray,
-    plate_accel: np.ndarray,
-    ball: ballmod.BallParams,
-    eta_m,
-    eta_p: np.ndarray,
-    eta_mu,
-) -> np.ndarray:
-    """Acceleration of one state (v of shape (n,)) or of a batch of rollouts
-    (v of shape (R, n), eta_m and eta_mu of shape (R, 1), eta_p of shape
-    (R, n+1)) under a tilt shared by all of them."""
-    return _accel(
-        v, np.sin(tilt), np.cos(tilt), plate_accel + eta_p,
-        ball.kappa * (1.0 + eta_m), ball.mu_r + eta_mu,
-    )
 
 
 def integrate_ball(

@@ -52,12 +52,12 @@ class PushProblem:
     lambda2: float = 1.0
     # shortlist size for angle selection; shrink when K is coarse so the
     # angular window the continuity preference may pick from stays narrow
-    shortlist: int = 5
+    shortlist: int = 2
     trajectory: tuple[Vec2, ...] = ()
     # planner containment margin: the cage used during planning is shrunk by
     # this much so rasterization error cannot push true outcomes past the
     # nominal cage boundary
-    margin: float = 2.0
+    margin: float = 4.0
 
     def __post_init__(self):
         if self.object_radius <= 0 or self.cage_size <= 0:
@@ -336,7 +336,7 @@ def find_push(
 ) -> Optional[PushAngle]:
     """Pick a push angle, or None if the PSS already fits the next cage.
 
-    Scores all K candidates, keeps the problem.shortlist best (five by
+    Scores all K candidates, keeps the problem.shortlist best (two by
     default), then prefers the one closest (wrap-around) to the previous
     push angle. Ties break toward the lowest candidate index.
     """
@@ -435,7 +435,7 @@ def plan_push(
     offset = (initial_position - problem.trajectory[0]).norm()
     if offset > problem.cage_size:
         raise InitialPositionOutsideCage(
-            f"{offset:.3f} mm from the first waypoint exceeds "
+            f"initial_position_mm: {offset:.3f} mm from the first waypoint exceeds "
             f"cage_size = {problem.cage_size:.3f} mm"
         )
     pss = initial_set(problem, initial_position)

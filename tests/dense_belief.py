@@ -3,7 +3,8 @@
 The belief used to be stored as a full (N,)*2n array. These functions keep
 that implementation of the grid constructors, the energy cage terms and the
 one-step propagation, reading only ``grid.values`` and the grid geometry, so
-the support-stored ``ball.ProbGrid`` can be checked against them.
+the support-stored ``ball.ProbGrid`` can be checked against them. ``grid``
+builds a ``ProbGrid`` from such a dense array, and ``delta`` a point mass.
 """
 
 from __future__ import annotations
@@ -18,12 +19,24 @@ def axes(grid: B.ProbGrid) -> tuple[np.ndarray, np.ndarray]:
             np.linspace(-grid.v_max, grid.v_max, grid.N))
 
 
+def grid(n, N, x_max, v_max, values) -> B.ProbGrid:
+    """The grid holding the nonzero entries of the dense (N,)*2n array values."""
+    values = np.asarray(values, dtype=float)
+    cells = np.argwhere(values)
+    return B.ProbGrid(n, N, x_max, v_max, cells, values[tuple(cells.T)])
+
+
 def delta_values(n, N, x_max, v_max, x, v) -> np.ndarray:
     vals = np.zeros((N,) * (2 * n))
     xi = np.clip(np.rint((np.atleast_1d(x) + x_max) / (2 * x_max / (N - 1))), 0, N - 1)
     vi = np.clip(np.rint((np.atleast_1d(v) + v_max) / (2 * v_max / (N - 1))), 0, N - 1)
     vals[tuple(int(i) for i in xi) + tuple(int(i) for i in vi)] = 1.0
     return vals
+
+
+def delta(n, N, x_max, v_max, x, v) -> B.ProbGrid:
+    """Point mass at the cell nearest (x, v)."""
+    return grid(n, N, x_max, v_max, delta_values(n, N, x_max, v_max, x, v))
 
 
 def box_values(n, N, x_max, v_max, x_lo, x_hi, v_lo, v_hi) -> np.ndarray:
@@ -44,7 +57,7 @@ def box_values(n, N, x_max, v_max, x_lo, x_hi, v_lo, v_hi) -> np.ndarray:
 
 def energy_field(grid: B.ProbGrid, plate: B.PlateState, model: B.EnergyModel) -> np.ndarray:
     """Energy of every grid cell, shape (N,)*2n."""
-    _, _, a_eff = B.plate_frame_accels(plate)
+    a_eff = B.plate_frame_accels(plate)
     ax, av = axes(grid)
     n, N = grid.n, grid.N
     E = np.zeros((N,) * (2 * n))
@@ -82,7 +95,7 @@ def propagate(grid, plate, ball, unc, dt) -> tuple[np.ndarray, float, int]:
     xs = np.column_stack([ax[idx[d]] for d in range(n)])
     vs = np.column_stack([av[idx[n + d]] for d in range(n)])
     M = xs.shape[0]
-    _, _, a_eff = B.plate_frame_accels(plate)
+    a_eff = B.plate_frame_accels(plate)
     k = ball.kappa
     T = B._inplane_jacobian(plate)
     drive = k * a_eff

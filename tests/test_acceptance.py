@@ -19,7 +19,9 @@ from cageintime import qp as qpmod
 from cageintime import trajectories as T
 from cageintime.core import Vec2
 from cageintime.push import PushProblem, plan_push, pusher_pose, segment_distance
+import dense_belief as D
 from qp_oracle import grid_search, random_instance
+from scalar_oracle import exact_accel
 
 CAGES = (10.0, 20.0, 30.0, 40.0)
 KS = (16, 32, 64, 128)
@@ -195,7 +197,7 @@ def test_criterion_06_probability_grid_integrity():
         worst = max(worst, abs(out.values.sum() - 1.0))
         assert np.count_nonzero(out.values) > 0
     # zero-uncertainty delta propagation = one Euler step within one cell
-    g = B.ProbGrid.delta(1, 81, 0.08, 1.0, 0.0, 0.1)
+    g = D.delta(1, 81, 0.08, 1.0, 0.0, 0.1)
     plate = B.PlateState(1, 0.08, np.array([0.05]), np.zeros(2))
     out, _ = B.propagate_prob(g, plate, ball,
                               B.no_uncertainty(1), 0.02)
@@ -217,7 +219,7 @@ def test_criterion_07_monte_carlo_envelope():
     ball = B.tennis_ball()
     unc = B.default_uncertainty(1)
     dt = 0.02
-    g = B.ProbGrid.delta(1, 81, 0.08, 1.0, 0.01, 0.1)
+    g = D.delta(1, 81, 0.08, 1.0, 0.01, 0.1)
     plate = B.PlateState(1, 0.08, np.array([0.05]), np.array([0.2, 0.0]))
     out, _ = B.propagate_prob(g, plate, ball, unc, dt)
     dilated = ndimage.binary_dilation(out.values > 0, np.ones((3, 3), bool))
@@ -229,8 +231,8 @@ def test_criterion_07_monte_carlo_envelope():
         eta_m = rng.normal(0.0, unc.sigma_m)
         eta_p = rng.multivariate_normal(np.zeros(2), unc.Sigma_p)
         eta_mu = rng.normal(0.0, unc.sigma_mu)
-        a = oracle._exact_accel(np.array([x0]), np.array([v0]), plate.tilt,
-                                plate.accel, ball, eta_m, eta_p, eta_mu)
+        a = exact_accel(np.array([x0]), np.array([v0]), plate.tilt,
+                        plate.accel, ball, eta_m, eta_p, eta_mu)
         x1 = x0 + v0 * dt
         v1 = v0 + a[0] * dt
         xi = int(round((x1 + out.x_max) / out.x_step))

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from cageintime import ball as B
 from cageintime.core import FailureReason
-from cageintime import oracle
 
 import dense_belief as D
+from scalar_oracle import exact_accel
 
 
 TB = B.tennis_ball()
@@ -60,31 +60,49 @@ class TestPlateState:
 
 class TestPlateFrameAccels:
     def test_flat_static_zero(self):
-        _, _, a_eff = B.plate_frame_accels(flat_plate())
+        a_eff = B.plate_frame_accels(flat_plate())
         assert np.allclose(a_eff, 0.0)
 
     def test_gravity_component(self):
         plate = B.PlateState(1, 0.08, np.array([0.1]), np.zeros(2))
-        _, _, a_eff = B.plate_frame_accels(plate)
+        a_eff = B.plate_frame_accels(plate)
         assert a_eff[0] == pytest.approx(9.81 * math.sin(0.1))
         assert a_eff[0] == pytest.approx(0.9794, abs=1e-4)
 
     def test_pure_inertial_term(self):
         plate = B.PlateState(1, 0.08, np.zeros(1), np.array([1.0, 0.0]))
-        _, _, a_eff = B.plate_frame_accels(plate)
+        a_eff = B.plate_frame_accels(plate)
         assert a_eff[0] == pytest.approx(1.0)
 
     def test_vertical_accel_scales_gravity(self):
         plate = B.PlateState(1, 0.08, np.array([0.1]), np.array([0.0, 1.0]))
-        _, _, a_eff = B.plate_frame_accels(plate)
+        a_eff = B.plate_frame_accels(plate)
         assert a_eff[0] == pytest.approx((9.81 + 1.0) * math.sin(0.1))
 
 
 class TestAccelDistribution:
     def test_zero_noise_zero_state(self):
-        mu, Sigma = B.accel_distribution(
+        mu, var = B.accel_distribution(
             np.zeros(1), flat_plate(), TB, B.no_uncertainty(1))
-        assert np.allclose(mu, 0.0) and np.allclose(Sigma, 0.0)
+        assert np.allclose(mu, 0.0) and np.allclose(var, 0.0)
+
+    def test_per_axis_variance(self):
+        # each axis's variance is the diagonal entry of the first-order
+        # covariance of the mass, plate-acceleration and friction channels
+        unc = B.UncertaintyModel(0.05, np.array([[0.2, 0.05, 0.01],
+                                                 [0.05, 0.3, 0.02],
+                                                 [0.01, 0.02, 0.4]]), 0.1)
+        plate = B.PlateState(2, 0.08, np.array([0.1, -0.2]), np.array([0.5, -0.3, 0.2]))
+        v = np.array([[0.0, 0.0], [0.3, -0.7], [-1.0, 0.2]])
+        mu, var = B.accel_distribution(v, plate, TB, unc)
+        assert mu.shape == var.shape == (3, 2)
+        drive = TB.kappa * B.plate_frame_accels(plate)
+        T = B._inplane_jacobian(plate)
+        for row, vr in zip(var, v):
+            cov = (unc.sigma_m**2 * np.outer(drive, drive)
+                   + TB.kappa**2 * (T @ unc.Sigma_p @ T.T)
+                   + unc.sigma_mu**2 * np.outer(vr, vr))
+            assert np.array_equal(row, np.diagonal(cov))
 
     def test_rolling_factor_on_slope(self):
         plate = B.PlateState(1, 0.08, np.array([0.1]), np.zeros(2))
@@ -95,9 +113,9 @@ class TestAccelDistribution:
 
     def test_friction_noise_vanishes_at_rest(self):
         unc = B.UncertaintyModel(0.0, np.zeros((2, 2)), 0.5)
-        _, Sigma = B.accel_distribution(
+        _, var = B.accel_distribution(
             np.zeros(1), flat_plate(), TB, unc)
-        assert np.allclose(Sigma, 0.0)
+        assert np.allclose(var, 0.0)
 
     def test_mean_matches_exact_dynamics(self):
         # the distribution mean must equal the noise-free oracle dynamics
@@ -105,7 +123,7 @@ class TestAccelDistribution:
             plate = B.PlateState(1, 0.08, np.array([tilt]), np.array([0.5, 0.1]))
             mu, _ = B.accel_distribution(
                 np.array([v]), plate, TB, B.no_uncertainty(1))
-            exact = oracle._exact_accel(
+            exact = exact_accel(
                 np.zeros(1), np.array([v]), plate.tilt, plate.accel,
                 TB, 0.0, np.zeros(2), 0.0)
             assert abs(mu[0] - exact[0]) <= 1e-8 * max(1.0, abs(exact[0]))
@@ -136,10 +154,10 @@ class TestEnergy:
             vals = rng.random(shape) * (rng.random(shape) < 0.1)
             if vals.sum() == 0:
                 continue
-            g = B.ProbGrid(n, N, 0.08, 1.0, vals)
+            g = D.grid(n, N, 0.08, 1.0, vals)
             plate = B.PlateState(n, 0.08, rng.uniform(-0.5, 0.5, n),
                                  rng.uniform(-1, 1, n + 1))
-            _, _, a_eff = B.plate_frame_accels(plate)
+            a_eff = B.plate_frame_accels(plate)
             field = B._energy_field(g, plate, MODEL)
             ax, av = g.x_axis, g.v_axis
             assert field.shape == g.p.shape
@@ -178,7 +196,7 @@ class TestEMax:
         l = 0.08
 
         def sampled(plate, m):
-            _, _, a_eff = B.plate_frame_accels(plate)
+            a_eff = B.plate_frame_accels(plate)
             s = np.linspace(-l, l, m)
             b = np.vstack([np.column_stack([s, np.full(m, c)]) for c in (l, -l)]
                           + [np.column_stack([np.full(m, c), s]) for c in (l, -l)])
@@ -188,7 +206,7 @@ class TestEMax:
         clipped = 0
         for _ in range(20):
             plate = B.PlateState(2, l, rng.uniform(-0.5, 0.5, 2), rng.uniform(-20, 20, 3))
-            _, _, a_eff = B.plate_frame_accels(plate)
+            a_eff = B.plate_frame_accels(plate)
             clipped += bool(np.any(np.abs(MODEL.mass * a_eff / MODEL.k_ve) > l))
             exact = B.e_max(plate, MODEL)
             fine = sampled(plate, 10**5)
@@ -200,19 +218,45 @@ class TestEMax:
 
 class TestProbGrid:
     def test_normalized_on_construction(self):
-        g = B.ProbGrid(1, 5, 0.1, 1.0, np.full((5, 5), 3.0))
+        g = D.grid(1, 5, 0.1, 1.0, np.full((5, 5), 3.0))
         assert g.values.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_empty_support(self):
         with pytest.raises(ValueError):
-            B.ProbGrid(1, 5, 0.1, 1.0, np.zeros((5, 5)))
+            D.grid(1, 5, 0.1, 1.0, np.zeros((5, 5)))
 
-    def test_delta_placement(self):
-        g = B.ProbGrid.delta(1, 81, 0.08, 1.0, 0.0, 0.1)
-        xs, vs, ps = g.support()
-        assert ps.sum() == pytest.approx(1.0)
-        assert xs[0, 0] == pytest.approx(0.0, abs=g.x_step / 2)
-        assert vs[0, 0] == pytest.approx(0.1, abs=g.v_step / 2)
+    def test_constructor_normalizes(self):
+        cells = np.array([[1, 2], [3, 4], [0, 4]])
+        g = B.ProbGrid(1, 5, 0.1, 1.0, cells, np.array([1.0, 3.0, 4.0]))
+        assert np.array_equal(g.p, [0.125, 0.375, 0.5])
+        assert np.array_equal(g.cells, cells)
+        assert not (g.cells.flags.writeable or g.p.flags.writeable)
+        # grids on the same axes share one read-only array per axis
+        other = B.ProbGrid(1, 5, 0.1, 1.0, cells[:1], np.ones(1))
+        assert other.x_axis is g.x_axis and not g.x_axis.flags.writeable
+
+    @pytest.mark.parametrize("n,N,cells,p", [
+        (3, 5, [[1, 2, 1, 2, 1, 2]], [1.0]),  # n outside {1, 2}
+        (0, 5, np.zeros((1, 0), int), [1.0]),
+        (1, 4, [[1, 2]], [1.0]),  # even N
+        (1, 1, [[0, 0]], [1.0]),  # N below 3
+        (1, 5, np.zeros((0, 2), int), []),  # empty support
+        (1, 5, [[1, 2], [3, 4]], [1.0, 0.0]),  # zero mass
+        (1, 5, [[1, 2], [3, 4]], [1.0, -0.5]),  # negative mass
+        (1, 5, [[1, 2]], [np.nan]),
+        (1, 5, [[1, 2]], [np.inf]),
+        (1, 5, [[1, 2, 3]], [1.0]),  # cells not (M, 2n)
+        (2, 5, [[1, 2]], [1.0]),
+        (1, 5, [1, 2], [1.0, 1.0]),
+        (1, 5, [[1.0, 2.0]], [1.0]),  # cells not integer
+        (1, 5, [[1, 2]], [1.0, 1.0]),  # not one mass per cell
+        (1, 5, [[1, 5]], [1.0]),  # index outside [0, N)
+        (1, 5, [[-1, 2]], [1.0]),
+        (2, 3, [[0, 1, 2, 3]], [1.0]),
+    ])
+    def test_constructor_rejects(self, n, N, cells, p):
+        with pytest.raises(ValueError):
+            B.ProbGrid(n, N, 0.1, 1.0, np.asarray(cells), np.asarray(p, dtype=float))
 
     def test_box_support_bounds(self):
         g = B.ProbGrid.box(1, 81, 0.08, 1.0, -0.01, 0.01, 0.3, 0.4)
@@ -225,13 +269,12 @@ class TestProbGrid:
         rng = np.random.default_rng(7)
         shape = (N,) * (2 * n)
         vals = rng.random(shape) * (rng.random(shape) < 0.1)
-        g = B.ProbGrid(n, N, 0.08, 1.0, vals)
+        g = D.grid(n, N, 0.08, 1.0, vals)
         assert np.array_equal(g.values, vals / vals.sum())
         assert np.array_equal(g.cells, np.argwhere(vals))
-        assert np.array_equal(B.ProbGrid(n, N, 0.08, 1.0, g.values).values, g.values)
 
     @pytest.mark.parametrize("n,N", [(1, 81), (2, 31)])
-    def test_box_and_delta_match_dense_construction(self, n, N):
+    def test_box_matches_dense_construction(self, n, N):
         boxes = [(-0.004, 0.004, -0.02, 0.02), (-0.01, 0.03, 0.3, 0.4), (-1.0, 1.0, -0.1, 0.0)]
         if n == 2:
             boxes.append(([-0.02, 0.0], [0.01, 0.05], [0.1, -0.3], [0.2, -0.1]))
@@ -242,21 +285,15 @@ class TestProbGrid:
             assert np.array_equal(g.cells, np.argwhere(ref))
         with pytest.raises(ValueError):
             B.ProbGrid.box(n, N, 0.08, 1.0, 0.01, -0.01, 0.0, 0.1)
-        for x, v in [(0.0, 0.0), (0.079, 1.0), (-0.2, -3.0), (0.013, -0.37)]:
-            x, v = np.full(n, x), np.full(n, v)
-            ref = D.delta_values(n, N, 0.08, 1.0, x, v)
-            g = B.ProbGrid.delta(n, N, 0.08, 1.0, x, v)
-            assert np.array_equal(g.values, ref)
-            assert np.array_equal(g.cells, np.argwhere(ref))
 
 
 class TestEntropy:
     def test_delta_zero(self):
-        g = B.ProbGrid.delta(1, 11, 0.08, 1.0, 0.0, 0.0)
+        g = D.delta(1, 11, 0.08, 1.0, 0.0, 0.0)
         assert B.entropy(g) == 0.0
 
     def test_uniform_log_m(self):
-        g = B.ProbGrid(1, 11, 0.08, 1.0, np.ones((11, 11)))
+        g = D.grid(1, 11, 0.08, 1.0, np.ones((11, 11)))
         assert B.entropy(g) == pytest.approx(math.log(121))
 
     @given(st.integers(0, 2**32 - 1))
@@ -266,14 +303,14 @@ class TestEntropy:
         vals = rng.random((11, 11)) * (rng.random((11, 11)) < 0.5)
         if vals.sum() == 0:
             return
-        g = B.ProbGrid(1, 11, 0.08, 1.0, vals)
+        g = D.grid(1, 11, 0.08, 1.0, vals)
         s = B.entropy(g)
         assert -1e-12 <= s <= math.log(np.count_nonzero(g.values)) + 1e-12
 
 
 class TestCbfClf:
     def test_rest_center_barrier(self):
-        g = B.ProbGrid.delta(1, 81, 0.08, 1.0, 0.0, 0.0)
+        g = D.delta(1, 81, 0.08, 1.0, 0.0, 0.0)
         assert B.cbf_value(g, flat_plate(), MODEL) == pytest.approx(0.032)
 
     def test_energy_identity(self):
@@ -282,7 +319,7 @@ class TestCbfClf:
             vals = rng.random((41, 41)) * (rng.random((41, 41)) < 0.1)
             if vals.sum() == 0:
                 continue
-            g = B.ProbGrid(1, 41, 0.08, 1.0, vals)
+            g = D.grid(1, 41, 0.08, 1.0, vals)
             plate = B.PlateState(1, 0.08, rng.uniform(-0.5, 0.5, 1),
                                  rng.uniform(-1, 1, 2))
             h = B.cbf_value(g, plate, MODEL)
@@ -291,14 +328,14 @@ class TestCbfClf:
             assert h + top == pytest.approx(em, abs=1e-12)
 
     def test_clf_delta_center(self):
-        g = B.ProbGrid.delta(1, 81, 0.08, 1.0, 0.0, 0.0)
+        g = D.delta(1, 81, 0.08, 1.0, 0.0, 0.0)
         assert B.clf_value(g, flat_plate(), MODEL, 0.002) == pytest.approx(0.0)
 
     def test_clf_uniform_equal_energy(self):
         # two cells at (x, v=0) and (-x, v=0) share energy on a flat plate
         vals = np.zeros((81, 81))
         vals[30, 40] = vals[50, 40] = 0.5
-        g = B.ProbGrid(1, 81, 0.08, 1.0, vals)
+        g = D.grid(1, 81, 0.08, 1.0, vals)
         x = g.x_axis[30]
         e0 = 0.5 * MODEL.k_ve * x * x
         v = B.clf_value(g, flat_plate(), MODEL, 0.002)
@@ -307,14 +344,14 @@ class TestCbfClf:
 
 class TestPropagateProb:
     def test_fixed_point_at_rest_center(self):
-        g = B.ProbGrid.delta(1, 81, 0.08, 1.0, 0.0, 0.0)
+        g = D.delta(1, 81, 0.08, 1.0, 0.0, 0.0)
         out, lost = B.propagate_prob(g, flat_plate(), TB,
                                      B.no_uncertainty(1), 0.02)
         assert lost == 0.0
         assert np.array_equal(out.values, g.values)
 
     def test_zero_uncertainty_euler_step(self):
-        g = B.ProbGrid.delta(1, 81, 0.08, 1.0, 0.0, 0.1)
+        g = D.delta(1, 81, 0.08, 1.0, 0.0, 0.1)
         plate = B.PlateState(1, 0.08, np.array([0.05]), np.zeros(2))
         out, _ = B.propagate_prob(g, plate, TB,
                                   B.no_uncertainty(1), 0.02)
@@ -333,7 +370,7 @@ class TestPropagateProb:
         vals = rng.random((41, 41)) * (rng.random((41, 41)) < 0.05)
         if vals.sum() == 0:
             return
-        g = B.ProbGrid(1, 41, 0.08, 1.0, vals)
+        g = D.grid(1, 41, 0.08, 1.0, vals)
         plate = B.PlateState(1, 0.08, rng.uniform(-0.3, 0.3, 1),
                              rng.uniform(-1, 1, 2))
         unc = B.default_uncertainty(1)
@@ -346,19 +383,19 @@ class TestPropagateProb:
         assert 0.0 <= lost <= 1.0
 
     def test_all_mass_lost_raises(self):
-        g = B.ProbGrid.delta(1, 81, 0.08, 1.0, 0.079, 1.0)
+        g = D.delta(1, 81, 0.08, 1.0, 0.079, 1.0)
         with pytest.raises(B.AllMassLost):
             B.propagate_prob(g, flat_plate(), TB,
                              B.no_uncertainty(1), 0.5)
 
     def test_reads_accel_distribution(self, monkeypatch):
-        g = B.ProbGrid.delta(1, 81, 0.08, 1.0, 0.0, 0.0)
+        g = D.delta(1, 81, 0.08, 1.0, 0.0, 0.0)
         rest, _ = B.propagate_prob(g, flat_plate(), TB, B.no_uncertainty(1), 0.02)
         model = B.accel_distribution
 
         def pushed(v, plate, ball, unc):
-            mu, Sigma = model(v, plate, ball, unc)
-            return mu + 5.0, Sigma
+            mu, var = model(v, plate, ball, unc)
+            return mu + 5.0, var
 
         monkeypatch.setattr(B, "accel_distribution", pushed)
         out, _ = B.propagate_prob(g, flat_plate(), TB, B.no_uncertainty(1), 0.02)
@@ -387,7 +424,7 @@ class TestSupportMatchesDense:
             vals = rng.random(shape) * (rng.random(shape) < 0.1)
             if vals.sum() == 0:
                 continue
-            g = B.ProbGrid(n, N, 0.08, 1.0, vals)
+            g = D.grid(n, N, 0.08, 1.0, vals)
             plate = B.PlateState(n, 0.08, rng.uniform(-0.5, 0.5, n),
                                  rng.uniform(-1, 1, n + 1))
             assert abs(B.max_energy(g, plate, MODEL) - D.max_energy(g, plate, MODEL)) <= 1e-12
@@ -414,7 +451,7 @@ def _lie_derivatives(grid, plate, ball, unc, model, params):
 
 class TestLieDerivatives:
     def test_fixed_point_zero(self):
-        g = B.ProbGrid.delta(1, 81, 0.08, 1.0, 0.0, 0.0)
+        g = D.delta(1, 81, 0.08, 1.0, 0.0, 0.0)
         params = B.ControlParams()
         Lf_h, Lg_h, Lf_V, Lg_V = _lie_derivatives(
             g, flat_plate(), TB, B.no_uncertainty(1), MODEL, params)
@@ -478,7 +515,7 @@ class TestLieDerivatives:
 
 class TestDynamicControl:
     def test_stationary_delta_all_zero_rates(self):
-        g = B.ProbGrid.delta(1, 81, 0.08, 1.0, 0.0, 0.0)
+        g = D.delta(1, 81, 0.08, 1.0, 0.0, 0.0)
         traj = np.zeros((26, 2))
         setup = B.balancing_setup()
         plan, result, log = B.dynamic_control(
@@ -523,7 +560,7 @@ class TestDynamicControl:
         assert result.failure_step == 0
 
     def test_runlog_fields(self):
-        g = B.ProbGrid.delta(1, 81, 0.08, 1.0, 0.0, 0.0)
+        g = D.delta(1, 81, 0.08, 1.0, 0.0, 0.0)
         setup = B.balancing_setup()
         _, _, log = B.dynamic_control(
             g, np.zeros((6, 2)), setup.ball, setup.unc, setup.model,

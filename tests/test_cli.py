@@ -9,7 +9,7 @@ import yaml
 
 from cageintime import cli
 from cageintime import oracle
-from cageintime.config import BadSpec, load_config
+from cageintime.config import load_config
 
 
 def write_config(tmp_path, name, doc):
@@ -55,13 +55,13 @@ class TestConfigValidation:
         path = write_config(tmp_path, "c.yaml", {"trajectory": {"kind": "circle"}})
         assert cli.main(["push", "--config", path]) == 1
 
-    def test_unknown_trajectory_kind(self, tmp_path):
+    def test_unknown_trajectory_kind(self, tmp_path, capsys):
         doc = push_doc(str(tmp_path / "out"))
         doc["trajectory"] = {"kind": "spiral", "steps": 10}
         path = write_config(tmp_path, "c.yaml", doc)
-        with pytest.raises(BadSpec):
-            cfg = load_config(path)
-            cli.run(cfg)
+        assert cli.main(["push", "--config", path]) == 1
+        assert capsys.readouterr().err.startswith("error: unknown trajectory kind 'spiral'")
+        assert not (tmp_path / "out").exists()
 
     def test_missing_polyline_file(self, tmp_path):
         doc = push_doc(str(tmp_path / "out"))
@@ -123,6 +123,28 @@ class TestConfigValidation:
         path = write_config(tmp_path, "c.yaml", doc)
         assert cli.main(["push", "--config", path]) == 1
         assert capsys.readouterr().err.startswith("error: waypoint spacing")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("task,field,value", [
+        ("push", "K", 2),
+        ("push", "margin_mm", 25.0),
+        ("push", "steps", "many"),
+        ("ball", "N", 80),
+        ("ball", "n", 3),
+        ("ball", "beta_max", -1.0),
+        ("push", "radius_mm", None),  # a required field left out
+    ])
+    def test_invalid_value_rejected(self, tmp_path, capsys, task, field, value):
+        out = tmp_path / "out"
+        doc = (push_doc if task == "push" else ball_doc)(str(out))
+        target = doc["trajectory"] if field in ("steps", "radius_mm") else doc
+        if value is None:
+            del target[field]
+        else:
+            target[field] = value
+        path = write_config(tmp_path, "c.yaml", doc)
+        assert cli.main([task, "--config", path]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
     def test_oracle_radius_too_small(self, tmp_path, capsys):

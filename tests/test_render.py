@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from cageintime.ball import ProbGrid
 from cageintime.core import CageCircle, PSSGrid, Vec2
 from cageintime.push import pusher_pose
 from cageintime.render import (
@@ -15,6 +14,8 @@ from cageintime.render import (
     render_prob_frame,
     render_push_frame,
 )
+
+import dense_belief as D
 
 
 class TestFrameImage:
@@ -52,7 +53,7 @@ class TestRenderProbFrame:
         v = np.zeros((5, 5))
         v[2, 2] = 0.8
         v[1, 1] = 0.4
-        img = render_prob_frame(ProbGrid(1, 5, 0.08, 1.0, v))
+        img = render_prob_frame(D.grid(1, 5, 0.08, 1.0, v))
         assert img.pixels.shape == (5, 5)
         assert img.pixels[2, 2] == 255
         assert img.pixels[1, 1] == 128
@@ -60,14 +61,14 @@ class TestRenderProbFrame:
     def test_4d_marginal(self):
         v = np.zeros((3, 3, 3, 3))
         v[1, 1, 0, 0] = 1.0
-        img = render_prob_frame(ProbGrid(2, 3, 0.08, 1.0, v))
+        img = render_prob_frame(D.grid(2, 3, 0.08, 1.0, v))
         assert img.pixels.shape == (3, 3)
         assert img.pixels[1, 1] == 255
 
     def test_n2_matches_dense_marginal(self):
         rng = np.random.default_rng(5)
         v = rng.random((7,) * 4) * (rng.random((7,) * 4) < 0.2)
-        grid = ProbGrid(2, 7, 0.08, 1.0, v)
+        grid = D.grid(2, 7, 0.08, 1.0, v)
         plane = grid.values.sum(axis=(2, 3))
         dense = np.round(255.0 * plane / plane.max()).astype(np.uint8)
         assert np.array_equal(render_prob_frame(grid).pixels, dense)
