@@ -586,6 +586,8 @@ class TaskSetup:
 
     def trajectory(self, horizon_s: float) -> np.ndarray:
         """Plate path over the given horizon: stationary, or the retreat."""
+        if not horizon_s > 0.0:
+            raise ValueError(f"horizon_s must be positive, got {horizon_s}")
         T = int(round(horizon_s / self.params.dt))
         path = np.zeros((T + 1, self.grid.n + 1))
         if self.retreat is not None:

@@ -188,8 +188,8 @@ def run_ball(cfg: RunConfig, setup: ballmod.TaskSetup, traj: np.ndarray,
     return 0 if rate == 1.0 else 3
 
 
-def run_sweep(cfg: RunConfig, sweep: dict) -> int:
-    rows = oraclemod.sensitivity_sweep(**sweep)
+def run_sweep(cfg: RunConfig, cells: list[oraclemod.SweepCell]) -> int:
+    rows = oraclemod.sensitivity_sweep(cells)
     os.makedirs(cfg.out_dir, exist_ok=True)
     with open(os.path.join(cfg.out_dir, "sweep.csv"), "w", newline="") as fh:
         wr = csv.writer(fh)
@@ -216,7 +216,7 @@ def _task_run(cfg: RunConfig) -> Callable[[], int]:
         setup, traj = _ball_setup(raw)
         ocfg = oraclemod.BallOracleConfig(rollouts=int(raw.get("rollouts", 20)), seed=cfg.seed)
         return lambda: run_ball(cfg, setup, traj, ocfg)
-    sweep = dict(
+    cells = oraclemod.sweep_cells(
         v0_grid=[float(v) for v in raw["v0_grid"]],
         dv0_grid=[float(v) for v in raw["dv0_grid"]],
         beta_grid=[float(v) for v in raw["beta_grid"]],
@@ -224,7 +224,7 @@ def _task_run(cfg: RunConfig) -> Callable[[], int]:
         seed=cfg.seed,
         horizon_s=float(raw.get("horizon_s", 3.0)),
     )
-    return lambda: run_sweep(cfg, sweep)
+    return lambda: run_sweep(cfg, cells)
 
 
 def _prepared(args: argparse.Namespace) -> Callable[[], int]:

@@ -15,7 +15,7 @@ from typing import ClassVar, Optional, Sequence
 import numpy as np
 
 from .core import Action, PushAngle, TiltRate, Vec2
-from .push import PushProblem, PusherPose, pusher_pose, segment_distance
+from .push import PushProblem, PusherPose, pusher_pose
 from . import ball as ballmod
 
 
@@ -55,26 +55,43 @@ def simulate_push(
     travel so far.
 
     A push that never reaches the bounding circle is a no-op (zero
-    displacement).
+    displacement) and draws nothing. A push with n micro-steps draws
+    ``rng.random(1 + 2 * n)`` once, read in order: the rotation side, then
+    per micro-step the contact distance c (uniform over ``c_range``) and the
+    rotation fraction. That is the stream of one scalar draw per number, so
+    a rollout keeps one generator for all its pushes.
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     a = cfg.object_radius
-    dist0 = float(segment_distance(q0.as_array()[None, :], pose)[0])
+    d = pose.direction
+    tx, ty = -d.y, d.x  # pose.tangent
+    # distance to the pusher segment, in the operation order of
+    # segment_distance
+    rel_x = q0.x - pose.center.x
+    rel_y = q0.y - pose.center.y
+    along = min(max(rel_x * tx + rel_y * ty, -pose.half_length), pose.half_length)
+    dist0 = float(np.hypot(rel_x - along * tx, rel_y - along * ty))
     s0 = max(0.0, dist0 - a)
     d_con = d_push - s0
     if d_con <= 0.0:
         return Vec2(0.0, 0.0)
 
-    side = 1.0 if rng.random() < 0.5 else -1.0
+    steps = []
+    s = 0.0
+    while s < d_con - 1e-12:
+        step = min(cfg.delta_m, d_con - s)
+        steps.append(step)
+        s += step
+    r = rng.random(1 + 2 * len(steps)).tolist()
+    side = 1.0 if r[0] < 0.5 else -1.0
+    lo, hi = cfg.c_range
     beta = math.pi / 2.0
     u = 0.0  # along the push direction
     v = 0.0  # along the pusher segment
     s = 0.0
-    while s < d_con - 1e-12:
-        step = min(cfg.delta_m, d_con - s)
-        c = rng.uniform(*cfg.c_range)
-        frac = rng.random()
+    for step, c_draw, frac in zip(steps, r[1::2], r[2::2]):
+        c = lo + (hi - lo) * c_draw  # rng.uniform(lo, hi)
         dbeta = side * frac * peshkin_delta_beta(a, c, beta, step)
         dv = -a * math.sin(beta) * dbeta
         du = step + a * math.cos(beta) * dbeta
@@ -95,9 +112,7 @@ def simulate_push(
             scale = 1.0 / math.sqrt(q)
             u *= scale
             v *= scale
-    d = pose.direction
-    t = pose.tangent
-    return Vec2(u * d.x + v * t.x, u * d.y + v * t.y)
+    return Vec2(u * d.x + v * tx, u * d.y + v * ty)
 
 
 def rollout_push_plan(
@@ -376,47 +391,77 @@ def rollout_ball(
 # --- sensitivity sweep ----------------------------------------------------
 
 
-def sensitivity_sweep(
+@dataclass(frozen=True)
+class SweepCell:
+    """One (mean initial speed, speed uncertainty, slew bound) cell of the
+    sweep: one catching setup per trial and the retreat they all follow."""
+
+    v0: float
+    dv0: float
+    beta_max: float
+    setups: tuple[ballmod.TaskSetup, ...]
+    trajectory: np.ndarray
+
+
+def sweep_cells(
     v0_grid: Sequence[float],
     dv0_grid: Sequence[float],
     beta_grid: Sequence[float],
     trials: int,
     seed: int = 0,
     horizon_s: float = 3.0,
-) -> list[dict]:
-    """Planning-feasibility success rates for the catching task.
+) -> list[SweepCell]:
+    """Every cell's trial setups, built before anything is planned, so a
+    grid value the catching task rejects raises ValueError here.
 
-    For each (mean initial speed, speed uncertainty, slew bound) cell, run
-    the open-loop synthesis on the catching retreat designed for the nominal
-    speed, with the belief mean jittered per trial to model an inaccurate
-    toss; success is a feasible, contained plan. Returns one row per cell:
-    {v0, dv0, beta_max, success_rate}.
+    Each trial runs the catching retreat designed for the nominal speed,
+    with the belief mean jittered to model an inaccurate toss; the jitters
+    come from one generator per cell.
     """
-    rows = []
+    cells = []
     for beta in beta_grid:
         for v0 in v0_grid:
             for dv0 in dv0_grid:
                 rng = np.random.default_rng(
                     seed + hash((round(v0, 6), round(dv0, 6), round(beta, 6))) % (2**31)
                 )
-                ok = 0
-                for _ in range(trials):
-                    vc = v0 + rng.uniform(-0.025, 0.025)
-                    setup = ballmod.catching_setup(
-                        v0, dv0, beta_max=beta, belief_center=vc
+                setups = tuple(
+                    ballmod.catching_setup(
+                        v0, dv0, beta_max=beta,
+                        belief_center=v0 + rng.uniform(-0.025, 0.025),
                     )
-                    _, result, _ = ballmod.dynamic_control(
-                        setup.grid, setup.trajectory(horizon_s), setup.ball,
-                        setup.unc, setup.model, setup.params, setup.initial_tilt,
-                    )
-                    if result.success:
-                        ok += 1
-                rows.append(
-                    {
-                        "v0": float(v0),
-                        "dv0": float(dv0),
-                        "beta_max": float(beta),
-                        "success_rate": ok / trials,
-                    }
+                    for _ in range(trials)
                 )
+                cells.append(SweepCell(
+                    float(v0), float(dv0), float(beta), setups,
+                    setups[0].trajectory(horizon_s),
+                ))
+    return cells
+
+
+def sensitivity_sweep(cells: Sequence[SweepCell]) -> list[dict]:
+    """Planning-feasibility success rates for the catching task.
+
+    Runs the open-loop synthesis for every trial of every cell; success is
+    a feasible, contained plan. Returns one row per cell:
+    {v0, dv0, beta_max, success_rate}.
+    """
+    rows = []
+    for cell in cells:
+        ok = 0
+        for setup in cell.setups:
+            _, result, _ = ballmod.dynamic_control(
+                setup.grid, cell.trajectory, setup.ball, setup.unc,
+                setup.model, setup.params, setup.initial_tilt,
+            )
+            if result.success:
+                ok += 1
+        rows.append(
+            {
+                "v0": cell.v0,
+                "dv0": cell.dv0,
+                "beta_max": cell.beta_max,
+                "success_rate": ok / len(cell.setups),
+            }
+        )
     return rows

@@ -11,6 +11,7 @@ positions and selects push angles with a two-term outlier heuristic.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -110,30 +111,6 @@ class PusherPose:
         )
 
 
-@dataclass(frozen=True)
-class SemiEllipseMotionSet:
-    d_con: float
-    push_direction: Vec2
-    is_null: bool
-
-    def __post_init__(self):
-        if not self.is_null and not 0.0 <= self.d_con:
-            raise ValueError("d_con must be nonnegative")
-
-    def contains(self, disp: Vec2, tol: float = 1e-9) -> bool:
-        if disp.norm() <= tol:
-            return True
-        if self.is_null or self.d_con <= tol:
-            return False
-        d = self.push_direction
-        u = disp.x * d.x + disp.y * d.y  # along push direction, must be >= 0
-        v = -disp.x * d.y + disp.y * d.x
-        if u < -tol:
-            return False
-        a, b = self.d_con, self.d_con / 2.0
-        return u * u / (a * a) + v * v / (b * b) <= 1.0 + tol
-
-
 def pusher_pose(cage_center_next: Vec2, R: float, theta: float, half_length: float) -> PusherPose:
     """Starting pose of candidate angle theta: tangent to the standoff circle."""
     if R <= 0:
@@ -156,25 +133,20 @@ def segment_distance(points: np.ndarray, pose: PusherPose) -> np.ndarray:
     return np.hypot(dx, dy)
 
 
-def motion_set(q: Vec2, pose: PusherPose, r: float, d_push: float) -> SemiEllipseMotionSet:
-    """Displacement bound for an object at q under a push from pose."""
-    dist = float(segment_distance(q.as_array()[None, :], pose)[0])
-    if dist > r + d_push:
-        return SemiEllipseMotionSet(0.0, pose.direction, True)
-    d_con = d_push - max(0.0, dist - r)
-    d_con = min(max(d_con, 0.0), d_push)
-    return SemiEllipseMotionSet(d_con, pose.direction, False)
-
-
+@functools.lru_cache(maxsize=None)
 def _candidate_offsets(d_push: float, rho: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All integer pixel offsets within distance d_push, with world coords."""
+    """All integer pixel offsets within distance d_push, with world coords.
+    Read-only, shared by every push with that reach and resolution."""
     m = int(math.ceil(d_push / rho))
     di, dj = np.mgrid[-m : m + 1, -m : m + 1]
     di, dj = di.ravel(), dj.ravel()
     wx = dj * rho
     wy = di * rho
     keep = wx * wx + wy * wy <= d_push * d_push + 1e-9
-    return di[keep], dj[keep], np.column_stack([wx[keep], wy[keep]])
+    offsets = di[keep], dj[keep], np.column_stack([wx[keep], wy[keep]])
+    for arr in offsets:
+        arr.setflags(write=False)
+    return offsets
 
 
 def propagate_pss(

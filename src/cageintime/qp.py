@@ -125,28 +125,3 @@ def solve(qp: CbfClfQP) -> QPSolution:
                     best_z = z
     assert best_z is not None, "satisfiable barrier must yield a feasible point"
     return QPSolution(best_z[:n].copy(), float(best_z[n]), best_obj, True)
-
-
-def kkt_residuals(qp: CbfClfQP, sol: QPSolution) -> dict:
-    """Stationarity, primal feasibility, and complementarity residuals.
-
-    Dual variables are recovered by nonnegative least squares on the
-    near-active constraints.
-    """
-    n = qp.n
-    z = np.concatenate([sol.dtheta, [sol.delta]])
-    A, b = _constraints(qp)
-    slack = b - A @ z
-    grad = np.concatenate([2.0 * sol.dtheta, [2.0 * qp.lam * sol.delta]])
-    act = slack < 1e-6
-    mu = np.zeros(A.shape[0])
-    if act.any():
-        from scipy.optimize import nnls
-
-        mu_act, _ = nnls(A[act].T, -grad)
-        mu[act] = mu_act
-    return {
-        "stationarity": float(np.max(np.abs(grad + A.T @ mu))),
-        "primal": float(max(0.0, -slack.min())),
-        "complementarity": float(np.max(np.abs(mu * slack))),
-    }

@@ -1,8 +1,10 @@
-"""Brute-force oracle for the barrier/Lyapunov quadratic program.
+"""Brute-force oracle and optimality residuals for the barrier/Lyapunov
+quadratic program.
 
 Searches the tilt-rate box on a dense grid; for each candidate the optimal
 slack has the closed form delta = max(0, Lf_V + Lg_V.dtheta + cV) because
 the objective term lam*delta^2 is minimized at the constraint residual.
+``kkt_residuals`` measures how far a solution is from the KKT conditions.
 """
 
 from __future__ import annotations
@@ -10,8 +12,9 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+from scipy.optimize import nnls
 
-from cageintime.qp import CbfClfQP
+from cageintime.qp import CbfClfQP, QPSolution, _constraints
 
 
 def random_instance(rng: np.random.Generator) -> CbfClfQP:
@@ -74,3 +77,25 @@ def grid_search(qp: CbfClfQP, resolution: float = 1e-3, refine_levels: int = 3):
             best_obj, best = obj, pt
         step = step / 20.0
     return best_obj, best
+
+
+def kkt_residuals(qp: CbfClfQP, sol: QPSolution) -> dict:
+    """Stationarity, primal feasibility, and complementarity residuals.
+
+    Dual variables are recovered by nonnegative least squares on the
+    near-active constraints.
+    """
+    z = np.concatenate([sol.dtheta, [sol.delta]])
+    A, b = _constraints(qp)
+    slack = b - A @ z
+    grad = np.concatenate([2.0 * sol.dtheta, [2.0 * qp.lam * sol.delta]])
+    act = slack < 1e-6
+    mu = np.zeros(A.shape[0])
+    if act.any():
+        mu_act, _ = nnls(A[act].T, -grad)
+        mu[act] = mu_act
+    return {
+        "stationarity": float(np.max(np.abs(grad + A.T @ mu))),
+        "primal": float(max(0.0, -slack.min())),
+        "complementarity": float(np.max(np.abs(mu * slack))),
+    }

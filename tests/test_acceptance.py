@@ -20,7 +20,7 @@ from cageintime import trajectories as T
 from cageintime.core import Vec2
 from cageintime.push import PushProblem, plan_push, pusher_pose, segment_distance
 import dense_belief as D
-from qp_oracle import grid_search, random_instance
+from qp_oracle import grid_search, kkt_residuals, random_instance
 from scalar_oracle import exact_accel
 
 CAGES = (10.0, 20.0, 30.0, 40.0)
@@ -257,7 +257,7 @@ def test_criterion_08_qp_exactness():
         if best_obj is None or not sol.feasible:
             continue
         worst_obj = max(worst_obj, abs(sol.objective - best_obj))
-        res = qpmod.kkt_residuals(qp, sol)
+        res = kkt_residuals(qp, sol)
         worst_kkt = max(worst_kkt, res["stationarity"], res["primal"],
                         res["complementarity"])
         checked += 1
@@ -332,15 +332,16 @@ def _row_monotone(rates, direction: str) -> bool:
 
 
 def test_criterion_10_sensitivity_sweep():
-    anchor = oracle.sensitivity_sweep([0.8], [0.05], [25.0], trials=100, seed=0)
+    anchor = oracle.sensitivity_sweep(
+        oracle.sweep_cells([0.8], [0.05], [25.0], trials=100, seed=0))
     anchor_rate = anchor[0]["success_rate"]
 
-    dv_row = oracle.sensitivity_sweep(
-        [0.8], [0.025, 0.05, 0.1, 0.15, 0.2], [25.0], trials=20, seed=0)
+    dv_row = oracle.sensitivity_sweep(oracle.sweep_cells(
+        [0.8], [0.025, 0.05, 0.1, 0.15, 0.2], [25.0], trials=20, seed=0))
     dv_rates = [r["success_rate"] for r in dv_row]
 
-    beta_row = oracle.sensitivity_sweep(
-        [0.8], [0.05], [0.0, 1.0, 5.0, 25.0], trials=20, seed=0)
+    beta_row = oracle.sensitivity_sweep(oracle.sweep_cells(
+        [0.8], [0.05], [0.0, 1.0, 5.0, 25.0], trials=20, seed=0))
     beta_rates = [r["success_rate"] for r in beta_row]
 
     dv_ok = _row_monotone(dv_rates, "nonincreasing")

@@ -314,6 +314,21 @@ class TestSweepCommand:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("beta_grid", [-1.0], "error: beta_max must be nonnegative"),
+        ("horizon_s", -1, "error: horizon_s must be positive, got -1.0"),
+    ])
+    def test_bad_cell_rejected_before_running(self, tmp_path, capsys, key, value, message):
+        out = tmp_path / "out"
+        doc = {"task": "sweep", "v0_grid": [0.8], "dv0_grid": [0.05],
+               "beta_grid": [5.0], "trials": 1, "out": str(out), key: value}
+        path = write_config(tmp_path, "c.yaml", doc)
+        assert cli.main(["sweep", "--config", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(message) and captured.out == ""
+        assert not out.exists()
+
+
 class TestRepoConfigs:
     def test_all_repo_configs_load(self):
         root = os.path.join(os.path.dirname(__file__), "..", "configs")

@@ -1,26 +1,29 @@
 """Ground-truth simulators and baseline controllers."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 
-from cageintime.core import NoAction, TiltRate, Vec2
+from cageintime.core import NoAction, PushAngle, TiltRate, Vec2
 from cageintime import ball as B
-from cageintime import oracle
-from cageintime.push import PushProblem, pusher_pose
+from cageintime import cli, oracle
+from cageintime.config import load_config
+from cageintime.push import PushProblem, plan_push, pusher_pose
 from cageintime.trajectories import as_vec2_list, circle
 import scalar_oracle
+import scalar_push_oracle
+
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 class _StickyRng:
-    """Deterministic stand-in: zero rotation fraction every micro-step."""
+    """Deterministic stand-in: every draw is 0, so the contact distance is
+    the smallest one and the rotation fraction is zero every micro-step."""
 
-    def random(self):
-        return 0.0
-
-    def uniform(self, lo, hi):
-        return lo
+    def random(self, size):
+        return np.zeros(size)
 
 
 class TestPeshkinBound:
@@ -84,6 +87,116 @@ class TestSimulatePush:
             assert disp.norm() <= d_con + 0.1
 
 
+def _bits(p: Vec2) -> tuple[str, str]:
+    return p.x.hex(), p.y.hex()
+
+
+def _push_case(g: np.random.Generator, case: str):
+    """One push of the given kind: (q, pose, d_push, cfg)."""
+    radius = g.uniform(2.5, 30.0)
+    cfg = oracle.PushOracleConfig(object_radius=radius)
+    pose = pusher_pose(Vec2(0.0, 0.0), 20.0 + radius, g.uniform(0.0, 2.0 * math.pi), 50.0)
+    if case == "random":
+        q = Vec2(g.uniform(-30.0, 30.0), g.uniform(-30.0, 30.0))
+        return q, pose, g.uniform(0.1, 25.0), cfg
+    delta_m = cfg.delta_m
+    d_push = {
+        "no_contact": g.uniform(0.1, 25.0),
+        "below_one_step": g.uniform(1e-3, 0.999 * delta_m),
+        "exact_multiple": delta_m * int(g.integers(1, 51)),
+        "short_last_step": delta_m * int(g.integers(1, 51)) + g.uniform(0.02, 0.98) * delta_m,
+    }[case]
+    # in front of the pusher: beyond its reach, or already touching it so
+    # that the contact travel d_con is exactly d_push
+    if case == "no_contact":
+        depth = radius + d_push + g.uniform(0.1, 20.0)
+    else:
+        depth = g.uniform(0.0, 0.9 * radius)
+    lateral = g.uniform(-40.0, 40.0)
+    d, t = pose.direction, pose.tangent
+    q = Vec2(pose.center.x + depth * d.x + lateral * t.x,
+             pose.center.y + depth * d.y + lateral * t.y)
+    return q, pose, d_push, cfg
+
+
+class TestSimulatePushMatchesScalarReference:
+    """One draw per push gives the displacements and the generator state of
+    the old two-draws-per-micro-step oracle, bit for bit."""
+
+    @pytest.mark.parametrize("case, draws, seed", [
+        ("random", 2000, 0),
+        ("no_contact", 200, 1),
+        ("below_one_step", 200, 2),
+        ("exact_multiple", 200, 3),
+        ("short_last_step", 200, 4),
+    ])
+    def test_bitwise_equal(self, case, draws, seed):
+        g = np.random.default_rng(seed)
+        for _ in range(draws):
+            q, pose, d_push, cfg = _push_case(g, case)
+            stream = int(g.integers(2**32))
+            fast, ref = np.random.default_rng(stream), np.random.default_rng(stream)
+            before = fast.bit_generator.state
+            got = oracle.simulate_push(q, pose, d_push, cfg, fast)
+            want = scalar_push_oracle.simulate_push(q, pose, d_push, cfg, ref)
+            assert _bits(got) == _bits(want)
+            assert fast.bit_generator.state == ref.bit_generator.state
+            if case == "no_contact":
+                assert got == Vec2(0.0, 0.0) and fast.bit_generator.state == before
+
+    def test_default_generator_from_seed(self):
+        pose = pusher_pose(Vec2(0.0, 0.0), 45.0, 1.1, 50.0)
+        cfg = oracle.PushOracleConfig(seed=42)
+        got = oracle.simulate_push(Vec2(5.0, 3.0), pose, 20.0, cfg)
+        want = scalar_push_oracle.simulate_push(Vec2(5.0, 3.0), pose, 20.0, cfg)
+        assert _bits(got) == _bits(want)
+
+
+@pytest.fixture(scope="module", params=["push_circle.yaml", "push_lemniscate.yaml"])
+def shipped_plan(request):
+    problem, start = cli._push_problem(load_config(os.path.join(CONFIGS, request.param)))
+    plan, result, _ = plan_push(problem, start)
+    assert result.success
+    return problem, start, plan
+
+
+class TestShippedPlanRollouts:
+    SEEDS = range(20)
+
+    def _rollouts(self, problem, start, plan):
+        cfg = oracle.PushOracleConfig()
+        out = []
+        for seed in self.SEEDS:
+            positions, err = oracle.rollout_push_plan(
+                plan, problem, start, cfg, np.random.default_rng(seed))
+            naive, naive_err, lost_at = oracle.naive_tangent_rollout(
+                problem, start, cfg, np.random.default_rng(seed))
+            out.append(([_bits(p) for p in positions], err.hex(),
+                        [_bits(p) for p in naive], naive_err.hex(), lost_at))
+        return out
+
+    def test_match_scalar_reference(self, shipped_plan, monkeypatch):
+        got = self._rollouts(*shipped_plan)
+        monkeypatch.setattr(oracle, "simulate_push", scalar_push_oracle.simulate_push)
+        assert got == self._rollouts(*shipped_plan)
+
+    def test_one_simulate_push_call_per_push(self, shipped_plan, monkeypatch):
+        # the benchmark times the oracle.simulate_push layer by replacing
+        # the module attribute, so the rollout must look it up there
+        problem, start, plan = shipped_plan
+        calls = []
+        real = oracle.simulate_push
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(oracle, "simulate_push", counted)
+        oracle.rollout_push_plan(plan, problem, start, oracle.PushOracleConfig(),
+                                 np.random.default_rng(0))
+        assert len(calls) == sum(isinstance(a, PushAngle) for a in plan) > 0
+
+
 class TestRolloutPushPlan:
     def test_all_none_plan_static(self):
         traj = (Vec2(0.0, 0.0),) * 6
@@ -97,7 +210,6 @@ class TestRolloutPushPlan:
         traj = tuple(as_vec2_list(circle(60.0, 48)) + [Vec2(60.0, 0.0)])
         prob = PushProblem(cage_size=20.0, K=16, trajectory=traj,
                            margin=4.0, shortlist=2)
-        from cageintime.push import plan_push
         plan, res, _ = plan_push(prob, traj[0])
         assert res.success
         cfg = oracle.PushOracleConfig(seed=9)

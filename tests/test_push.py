@@ -19,11 +19,9 @@ from cageintime.core import (
 )
 from cageintime.push import (
     PushProblem,
-    SemiEllipseMotionSet,
     compute_poa,
     find_push,
     initial_set,
-    motion_set,
     plan_push,
     propagate_pss,
     push_step,
@@ -37,6 +35,7 @@ from cageintime import push as push_module
 from cageintime.config import load_config
 from cageintime.trajectories import as_vec2_list, circle
 import scalar_score
+from motion_set import SemiEllipseMotionSet, motion_set
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -154,6 +153,15 @@ class TestMotionSet:
         assert ms.contains(Vec2(5.0, 0.0))    # lateral semi-axis
         assert not ms.contains(Vec2(0.0, -1.0))  # behind the pusher
         assert not ms.contains(Vec2(5.1, 0.0))
+
+
+class TestCandidateOffsets:
+    def test_cached_read_only_and_unchanged(self):
+        offsets = push_module._candidate_offsets(20.0, 1.0)
+        assert push_module._candidate_offsets(20.0, 1.0) is offsets
+        assert not any(arr.flags.writeable for arr in offsets)
+        fresh = push_module._candidate_offsets.__wrapped__(20.0, 1.0)
+        assert all(np.array_equal(a, b) for a, b in zip(offsets, fresh))
 
 
 class TestPOA:

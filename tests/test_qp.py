@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from cageintime.qp import CbfClfQP, QPSolution, cbf_satisfiable, kkt_residuals, solve
-from qp_oracle import grid_search, random_instance
+from cageintime.qp import CbfClfQP, QPSolution, cbf_satisfiable, solve
+from qp_oracle import grid_search, kkt_residuals, random_instance
 
 
 def make(n=1, Lf_h=1.0, Lg_h=(0.0,), alpha_h=0.0, Lf_V=0.0, Lg_V=(0.0,),
