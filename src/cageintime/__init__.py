@@ -12,7 +12,6 @@ from .core import (
     Vec2,
     VerificationResult,
     contains_geometric,
-    feasibility_quasi_static,
     verify_caging_in_time,
 )
 
@@ -27,7 +26,6 @@ __all__ = [
     "Vec2",
     "VerificationResult",
     "contains_geometric",
-    "feasibility_quasi_static",
     "verify_caging_in_time",
 ]
 

@@ -450,6 +450,28 @@ def trajectory_accels(positions: np.ndarray, dt: float) -> np.ndarray:
     return acc
 
 
+def rate_bounds(tilt: np.ndarray, prev_u: np.ndarray,
+                params: ControlParams) -> tuple[np.ndarray, np.ndarray]:
+    """The tilt-rate rule of one step, shared by the planner and the replay:
+    the rate box, the slew limit from the previous rate prev_u, and the
+    tilt range folded in. Returns the per-axis bounds (lo, hi); the step has
+    no admissible rate where lo >= hi."""
+    beta, dt = params.beta_max, params.dt
+    lo = np.maximum(params.dtheta_min, prev_u - beta * dt)
+    hi = np.minimum(params.dtheta_max, prev_u + beta * dt)
+    # fold the tilt range into the rate box so the plate never leaves it:
+    # one-step reachability plus a braking bound so the rate can always
+    # be slewed to zero before the range boundary
+    room_hi = np.maximum(0.0, params.tilt_max - tilt)
+    room_lo = np.maximum(0.0, params.tilt_max + tilt)
+    if beta > 0:
+        cap_hi = beta * (-dt + np.sqrt(dt * dt + 2.0 * room_hi / beta))
+        cap_lo = beta * (-dt + np.sqrt(dt * dt + 2.0 * room_lo / beta))
+        lo = np.maximum(lo, -cap_lo)
+        hi = np.minimum(hi, cap_hi)
+    return lo, hi
+
+
 def ball_step(
     grid: ProbGrid,
     plate: PlateState,
@@ -484,11 +506,11 @@ def dynamic_control(
 ) -> tuple[tuple[TiltRate, ...], VerificationResult, RunLog]:
     """Open-loop control synthesis over the plate trajectory.
 
-    At each step the barrier/Lyapunov QP (with rate and slew bounds) picks
+    At each step the barrier/Lyapunov QP, boxed by ``rate_bounds``, picks
     the tilt rate and ``ball_step`` advances the tilt and the belief. Failure
-    is declared when the QP is infeasible, the tilt would leave its range,
-    the maximum supported energy exceeds the escape level, or a probe or the
-    step loses all the belief mass (``AllMassLost``). The plan holds exactly
+    is declared when the box is empty or the QP is infeasible, the maximum
+    supported energy exceeds the escape level, or a probe or the step loses
+    all the belief mass (``AllMassLost``). The plan holds exactly
     the steps taken: it ends before a step that fails with
     ``InfeasibleAction`` or ``AllMassLost`` and includes one that escapes.
     """
@@ -501,7 +523,7 @@ def dynamic_control(
     plate = PlateState(n, initial.x_max, initial_tilt, accels[0])
     grid = initial
     prev_u = np.zeros(n)
-    beta, dt = params.beta_max, params.dt
+    dt = params.dt
     log = RunLog()
     steps: list = []
     result = VerificationResult(True)
@@ -513,18 +535,7 @@ def dynamic_control(
         failed = None
         try:
             Lf_h, Lg_h, Lf_V, Lg_V = lie_derivatives(grid, plate, ball, unc, model, params, h, V)
-            lo = np.maximum(params.dtheta_min, prev_u - beta * dt)
-            hi = np.minimum(params.dtheta_max, prev_u + beta * dt)
-            # fold the tilt range into the rate box so the plate never leaves it:
-            # one-step reachability plus a braking bound so the rate can always
-            # be slewed to zero before the range boundary
-            room_hi = np.maximum(0.0, params.tilt_max - plate.tilt)
-            room_lo = np.maximum(0.0, params.tilt_max + plate.tilt)
-            if beta > 0:
-                cap_hi = beta * (-dt + np.sqrt(dt * dt + 2.0 * room_hi / beta))
-                cap_lo = beta * (-dt + np.sqrt(dt * dt + 2.0 * room_lo / beta))
-                lo = np.maximum(lo, -cap_lo)
-                hi = np.minimum(hi, cap_hi)
+            lo, hi = rate_bounds(plate.tilt, prev_u, params)
             sol = None
             if not np.any(lo >= hi):
                 sol = qpmod.solve(
@@ -534,11 +545,10 @@ def dynamic_control(
                         lo=lo, hi=hi,
                     )
                 )
-            u = sol.dtheta if sol is not None and sol.feasible else np.zeros(n)
-            if (sol is None or not sol.feasible
-                    or np.any(np.abs(plate.tilt + u * dt) >= math.pi / 2)):
+            if sol is None or not sol.feasible:
                 failed = FailureReason.InfeasibleAction
             else:
+                u = sol.dtheta
                 grid, plate, record = ball_step(grid, plate, u, ball, unc, model, dt)
         except AllMassLost:  # from a probe or the step
             failed = FailureReason.AllMassLost
@@ -566,6 +576,17 @@ def dynamic_control(
     return tuple(steps), result, log
 
 
+def horizon_steps(horizon_s: float, dt: float) -> int:
+    """Control steps of dt in a plate path of horizon_s seconds: the one
+    conversion of every ball path, which must hold at least one step."""
+    if not horizon_s > 0.0:
+        raise ValueError(f"horizon_s must be positive, got {horizon_s}")
+    T = int(round(horizon_s / dt))
+    if T < 1:
+        raise ValueError(f"horizon_s {horizon_s} is shorter than one {dt} s control step")
+    return T
+
+
 @dataclass(frozen=True)
 class TaskSetup:
     """Everything one dynamic run needs besides the plate trajectory.
@@ -586,9 +607,7 @@ class TaskSetup:
 
     def trajectory(self, horizon_s: float) -> np.ndarray:
         """Plate path over the given horizon: stationary, or the retreat."""
-        if not horizon_s > 0.0:
-            raise ValueError(f"horizon_s must be positive, got {horizon_s}")
-        T = int(round(horizon_s / self.params.dt))
+        T = horizon_steps(horizon_s, self.params.dt)
         path = np.zeros((T + 1, self.grid.n + 1))
         if self.retreat is not None:
             a, t_brake = self.retreat
@@ -685,7 +704,9 @@ def verify_ball_plan(
     initial_tilt: np.ndarray,
 ) -> VerificationResult:
     """Replay a tilt-rate plan through the generic verification driver,
-    stepping with ``ball_step`` and checking the rate/slew feasibility bounds."""
+    stepping with ``ball_step`` under the planner's ``rate_bounds``: a rate
+    outside them is ``InfeasibleAction`` and a step that loses all the
+    belief mass is ``AllMassLost``, as in ``dynamic_control``."""
     from .core import verify_caging_in_time
 
     n = initial.n
@@ -694,19 +715,17 @@ def verify_ball_plan(
     plate0 = PlateState(n, initial.x_max, initial_tilt, accels[0])
 
     def step(state, action, t):
-        grid, plate = state
+        grid, plate, prev_u = state
+        u = np.asarray(action.dtheta, dtype=float)
+        lo, hi = rate_bounds(plate.tilt, prev_u, params)
+        if np.any(u < lo - 1e-9) or np.any(u > hi + 1e-9):
+            return state, FailureReason.InfeasibleAction
         # known defect: the planner steps under accels[t]; the benchmark pins this verdict
         plate = replace(plate, accel=accels[min(t + 1, len(accels) - 1)])
-        grid, plate, record = ball_step(
-            grid, plate, action.dtheta, ball, unc, model, params.dt
-        )
-        return (grid, plate), record
+        try:
+            grid, plate, record = ball_step(grid, plate, u, ball, unc, model, params.dt)
+        except AllMassLost:
+            return state, FailureReason.AllMassLost
+        return (grid, plate, u), None if record["contained"] else FailureReason.EscapedCage
 
-    def feasible(action, t):
-        u = np.asarray(action.dtheta, dtype=float)
-        prev = np.zeros(n) if t == 0 else np.asarray(actions[t - 1].dtheta, dtype=float)
-        in_box = np.all(u >= params.dtheta_min - 1e-9) and np.all(u <= params.dtheta_max + 1e-9)
-        slew = np.all(np.abs(u - prev) <= params.beta_max * params.dt + 1e-9)
-        return bool(in_box and slew)
-
-    return verify_caging_in_time((initial, plate0), actions, step, feasible)
+    return verify_caging_in_time((initial, plate0, np.zeros(n)), actions, step)

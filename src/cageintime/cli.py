@@ -242,6 +242,8 @@ def _prepared(args: argparse.Namespace) -> Callable[[], int]:
         if cfg.task != expected[args.command]:
             raise BadSpec(f"config task {cfg.task!r} does not match command "
                           f"{args.command!r}")
+        if cfg.task == "sweep" and cfg.render:
+            raise BadSpec("a sweep has no frames to render; render a push or ball config")
         return _task_run(cfg)
     except BadSpec:
         raise

@@ -13,6 +13,7 @@ from typing import Any, Optional
 import numpy as np
 import yaml
 
+from .ball import horizon_steps
 from .core import BadSpec, Vec2
 from . import trajectories as traj
 
@@ -91,7 +92,7 @@ def ball_trajectory(raw: dict, dt: float, n: int) -> Optional[np.ndarray]:
     if kind == "retreat":
         return None
     if kind == "stationary":
-        T = int(round(float(spec.get("horizon_s", 3.0)) / dt))
+        T = horizon_steps(float(spec.get("horizon_s", 3.0)), dt)
         return np.zeros((T + 1, n + 1))
     if kind == "lemniscate":
         xy = traj.lemniscate(

@@ -1,8 +1,7 @@
 """Shared state-space data model and the generic cage verification driver.
 
-The driver is parameterized by a task's step kernel and its action
-feasibility check, so the same loop serves both the quasi-static pushing
-task and the dynamic ball-on-plate task.
+The driver is parameterized by a task's step, so the same fold serves both
+the quasi-static pushing task and the dynamic ball-on-plate task.
 """
 
 from __future__ import annotations
@@ -223,27 +222,24 @@ def action_to_json(action: Action) -> Optional[dict]:
 
 
 def verify_caging_in_time(
-    initial_pss,
+    initial,
     actions: Sequence[Action],
-    step: Callable[[object, Action, int], tuple[object, dict]],
-    feasible: Callable[[Action, int], bool],
+    step: Callable[[object, Action, int], tuple[object, Optional[FailureReason]]],
 ) -> VerificationResult:
     """Verify that an open-loop action sequence keeps the state set caged.
 
-    At each step t the action must be feasible, and the task's step kernel
-    ``step(state, action, t)`` returns the propagated state and its runlog
-    record, whose ``contained`` flag says whether the state lies in the cage
-    at t + 1. Returns the first violation, if any. Inputs are never mutated.
+    The task's ``step(state, action, t)`` applies the rules its planner
+    applies and returns the propagated state and that step's failure, or
+    None when the action is feasible and the state lies in the cage at
+    t + 1. Returns the first failure, if any. Inputs are never mutated.
     """
-    if getattr(initial_pss, "is_empty", False):
+    if getattr(initial, "is_empty", False):
         raise EmptyInitialPSS("initial PSS has no support")
-    state = initial_pss
+    state = initial
     for t, action in enumerate(actions):
-        if not feasible(action, t):
-            return VerificationResult(False, t, FailureReason.InfeasibleAction)
-        state, record = step(state, action, t)
-        if not record["contained"]:
-            return VerificationResult(False, t, FailureReason.EscapedCage)
+        state, failure = step(state, action, t)
+        if failure is not None:
+            return VerificationResult(False, t, failure)
     return VerificationResult(True)
 
 
@@ -258,7 +254,3 @@ def contains_geometric(pss: PSSGrid, cage: CageCircle) -> bool:
     d2 = (pts[:, 0] - cage.center.x) ** 2 + (pts[:, 1] - cage.center.y) ** 2
     return bool(np.all(d2 <= (cage.radius + 1e-9) ** 2))
 
-
-def feasibility_quasi_static(action: Action, t: int = 0) -> bool:
-    """Quasi-static objects stay put between pushes, so any action is feasible."""
-    return True

@@ -34,7 +34,6 @@ from .core import (
     WaypointSpacingTooLarge,
     action_to_json,
     contains_geometric,
-    feasibility_quasi_static,
     verify_caging_in_time,
 )
 
@@ -339,6 +338,27 @@ def max_spacing(problem: PushProblem) -> float:
     return spacing
 
 
+def checked_spacing(problem: PushProblem, initial_position: Vec2) -> float:
+    """Reject what the planner does not support: no waypoint, waypoints more
+    than cage_size/2 apart, or a start more than cage_size from the first
+    waypoint. Returns the largest waypoint spacing."""
+    if len(problem.trajectory) < 1:
+        raise ValueError("trajectory must have at least one waypoint")
+    spacing = max_spacing(problem)
+    if spacing > problem.cage_size / 2.0 + 1e-9:
+        raise WaypointSpacingTooLarge(
+            f"waypoint spacing {spacing:.3f} mm exceeds "
+            f"cage_size/2 = {problem.cage_size / 2.0:.3f} mm"
+        )
+    offset = (initial_position - problem.trajectory[0]).norm()
+    if offset > problem.cage_size:
+        raise InitialPositionOutsideCage(
+            f"initial_position_mm: {offset:.3f} mm from the first waypoint exceeds "
+            f"cage_size = {problem.cage_size:.3f} mm"
+        )
+    return spacing
+
+
 def planning_cage(problem: PushProblem, center: Vec2) -> CageCircle:
     """Cage used for the planner's containment checks: shrunk by the margin
     so grid rasterization and oracle drift stay inside the nominal cage."""
@@ -396,20 +416,7 @@ def plan_push(
     """Open-loop plan: at each step recenter the cage on the next waypoint,
     pick a push if needed, propagate, and check containment.
     """
-    if len(problem.trajectory) < 1:
-        raise ValueError("trajectory must have at least one waypoint")
-    spacing = max_spacing(problem)
-    if spacing > problem.cage_size / 2.0 + 1e-9:
-        raise WaypointSpacingTooLarge(
-            f"waypoint spacing {spacing:.3f} mm exceeds "
-            f"cage_size/2 = {problem.cage_size / 2.0:.3f} mm"
-        )
-    offset = (initial_position - problem.trajectory[0]).norm()
-    if offset > problem.cage_size:
-        raise InitialPositionOutsideCage(
-            f"initial_position_mm: {offset:.3f} mm from the first waypoint exceeds "
-            f"cage_size = {problem.cage_size:.3f} mm"
-        )
+    spacing = checked_spacing(problem, initial_position)
     pss = initial_set(problem, initial_position)
     log = RunLog()
     steps: list = []
@@ -435,10 +442,12 @@ def verify_push_plan(
     initial_position: Vec2,
     actions: Sequence[Action],
 ) -> VerificationResult:
-    """Independent replay of a plan through the generic verification driver."""
-    return verify_caging_in_time(
-        initial_set(problem, initial_position),
-        actions,
-        lambda pss, action, t: push_step(problem, pss, action, t),
-        feasibility_quasi_static,
-    )
+    """Independent replay of a plan through the generic verification driver,
+    rejecting the problems ``plan_push`` rejects."""
+    checked_spacing(problem, initial_position)
+
+    def step(pss, action, t):
+        pss, record = push_step(problem, pss, action, t)
+        return pss, None if record["contained"] else FailureReason.EscapedCage
+
+    return verify_caging_in_time(initial_set(problem, initial_position), actions, step)

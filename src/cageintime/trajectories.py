@@ -56,31 +56,6 @@ def resample_polyline(points: np.ndarray, spacing: float) -> np.ndarray:
     return np.column_stack([x, y])
 
 
-def letters_polyline(scale: float = 1.0) -> np.ndarray:
-    """Illustrative connected letter-like stroke path (not from any source
-    artwork), spanning roughly 4 x 1 units before scaling."""
-    raw = np.array(
-        [
-            # R
-            [0.0, 0.0], [0.0, 1.0], [0.6, 1.0], [0.6, 0.5], [0.0, 0.5], [0.6, 0.0],
-            # bridge
-            [1.0, 0.0],
-            # I
-            [1.0, 1.0], [1.0, 0.0],
-            # bridge
-            [1.4, 0.0],
-            # C
-            [2.0, 0.0], [1.4, 0.0], [1.4, 1.0], [2.0, 1.0],
-            # bridge
-            [2.4, 1.0],
-            # E
-            [3.0, 1.0], [2.4, 1.0], [2.4, 0.5], [3.0, 0.5], [2.4, 0.5],
-            [2.4, 0.0], [3.0, 0.0],
-        ]
-    )
-    return raw * scale
-
-
 def smooth_path(points: np.ndarray, window: int, passes: int = 1) -> np.ndarray:
     """Round polyline corners with repeated centered moving averages.
 

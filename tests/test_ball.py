@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cageintime import ball as B
-from cageintime.core import FailureReason
+from cageintime.core import FailureReason, TiltRate, VerificationResult
 
 import dense_belief as D
 from scalar_oracle import exact_accel
@@ -537,6 +537,24 @@ class TestDynamicControl:
                                     setup.unc, setup.model, setup.params,
                                     setup.initial_tilt)
         assert replay.success
+
+    def test_replay_applies_tilt_range_fold(self):
+        # from 1.565 rad, past tilt_max, the planner's rule admits no positive rate
+        setup = B.balancing_setup()
+        replay = B.verify_ball_plan(setup.grid, [TiltRate.of([0.5])], np.zeros((2, 2)),
+                                    setup.ball, setup.unc, setup.model, setup.params,
+                                    np.array([1.565]))
+        assert replay == VerificationResult(False, 0, FailureReason.InfeasibleAction)
+
+    def test_replay_reports_all_mass_lost(self):
+        # a slew-limited ramp to 4 rad/s drives the whole belief out of a
+        # 0.02 m/s velocity box
+        setup = B.balancing_setup(v_max=0.02)
+        plan = [TiltRate.of([0.5 * (t + 1)]) for t in range(8)]
+        replay = B.verify_ball_plan(setup.grid, plan, np.zeros((9, 2)), setup.ball,
+                                    setup.unc, setup.model, setup.params, setup.initial_tilt)
+        assert not replay.success
+        assert replay.failure_reason is FailureReason.AllMassLost
 
     def test_wide_velocity_spread_infeasible_at_low_slew(self):
         setup = B.catching_setup(0.8, 0.5, beta_max=5.0)

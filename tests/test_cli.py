@@ -147,6 +147,29 @@ class TestConfigValidation:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode, kind, horizon_s", [
+        ("balance", "stationary", 0),
+        ("balance", "stationary", 0.005),  # rounds to 0 steps of 0.02 s
+        ("catch", "retreat", 0.005),
+    ])
+    def test_horizon_under_one_step_rejected(self, tmp_path, capsys, mode, kind, horizon_s):
+        out = tmp_path / "out"
+        doc = ball_doc(str(out), mode=mode, trajectory={"kind": kind, "horizon_s": horizon_s})
+        path = write_config(tmp_path, "c.yaml", doc)
+        assert cli.main(["ball", "--config", path]) == 1
+        assert capsys.readouterr().err.startswith("error: horizon_s")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["render"], ["sweep", "--render"]])
+    def test_sweep_render_rejected(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        doc = {"task": "sweep", "v0_grid": [0.8], "dv0_grid": [0.05],
+               "beta_grid": [5.0], "trials": 1, "out": str(out)}
+        path = write_config(tmp_path, "c.yaml", doc)
+        assert cli.main([*command, "--config", path]) == 1
+        assert capsys.readouterr().err.startswith("error: a sweep has no frames")
+        assert not out.exists()
+
     def test_oracle_radius_too_small(self, tmp_path, capsys):
         out = tmp_path / "out"
         path = write_config(tmp_path, "c.yaml", push_doc(str(out), oracle_radius_mm=2.0))

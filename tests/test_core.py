@@ -21,7 +21,6 @@ from cageintime.core import (
     VerificationResult,
     action_to_json,
     contains_geometric,
-    feasibility_quasi_static,
     verify_caging_in_time,
 )
 
@@ -126,11 +125,11 @@ class TestContainsGeometric:
 
 
 def caged_step(cage, propagate=lambda pss, a, t: pss):
-    """A step kernel from a propagation and a fixed geometric cage."""
+    """A step from a propagation and a fixed geometric cage."""
 
     def step(pss, action, t):
         pss = propagate(pss, action, t)
-        return pss, {"contained": contains_geometric(pss, cage)}
+        return pss, None if contains_geometric(pss, cage) else FailureReason.EscapedCage
 
     return step
 
@@ -140,9 +139,7 @@ class TestVerifyCagingInTime:
     def _run(seq):
         g = PSSGrid.from_points(np.zeros((1, 2)), 1.0, Vec2(0.0, 0.0), (11, 11))
         cage = CageCircle(Vec2(0.0, 0.0), 3.0)
-        return verify_caging_in_time(
-            g, tuple(seq), caged_step(cage), feasibility_quasi_static,
-        )
+        return verify_caging_in_time(g, tuple(seq), caged_step(cage))
 
     def test_identity_propagation_succeeds(self):
         res = self._run([NoAction()] * 5)
@@ -156,10 +153,7 @@ class TestVerifyCagingInTime:
     def test_empty_initial_raises(self):
         g = PSSGrid(np.zeros((5, 5), dtype=bool), 1.0, Vec2(0.0, 0.0))
         with pytest.raises(EmptyInitialPSS):
-            verify_caging_in_time(
-                g, tuple([NoAction()]),
-                lambda p, a, t: (p, {"contained": True}), lambda a, t: True,
-            )
+            verify_caging_in_time(g, tuple([NoAction()]), lambda p, a, t: (p, None))
 
     def test_first_violation_reported(self):
         g = PSSGrid.from_points(np.zeros((1, 2)), 1.0, Vec2(0.0, 0.0), (11, 11))
@@ -171,10 +165,7 @@ class TestVerifyCagingInTime:
                                        pss.cells.shape)
 
         cage = CageCircle(Vec2(0.0, 0.0), 2.5)
-        res = verify_caging_in_time(
-            g, tuple([NoAction()] * 5), caged_step(cage, propagate),
-            feasibility_quasi_static,
-        )
+        res = verify_caging_in_time(g, tuple([NoAction()] * 5), caged_step(cage, propagate))
         assert not res.success
         assert res.failure_step == 2  # drifted to x=3 > 2.5 on the third step
         assert res.failure_reason is FailureReason.EscapedCage
@@ -183,7 +174,7 @@ class TestVerifyCagingInTime:
         g = PSSGrid.from_points(np.zeros((1, 2)), 1.0, Vec2(0.0, 0.0), (11, 11))
         res = verify_caging_in_time(
             g, tuple([NoAction()] * 3),
-            lambda p, a, t: (p, {"contained": True}), lambda a, t: t < 1,
+            lambda p, a, t: (p, None if t < 1 else FailureReason.InfeasibleAction),
         )
         assert res.failure_step == 1
         assert res.failure_reason is FailureReason.InfeasibleAction

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from cageintime.core import (
     CageCircle,
+    InitialPositionOutsideCage,
     NoAction,
     PSSGrid,
     PushAngle,
@@ -375,6 +376,19 @@ class TestPlanProperties:
         plan, result, _ = plan_push(prob, prob.trajectory[0])
         assert result.success
         assert verify_push_plan(prob, prob.trajectory[0], plan).success
+
+    @pytest.mark.parametrize("trajectory, offset, error", [
+        # 24 waypoints on a 60 mm circle lie 15.7 mm apart, over cage_size/2
+        (tuple(as_vec2_list(circle(60.0, 24))), Vec2(0.0, 0.0), WaypointSpacingTooLarge),
+        (None, Vec2(25.0, 0.0), InitialPositionOutsideCage),
+    ])
+    def test_replay_rejects_what_planner_rejects(self, trajectory, offset, error):
+        prob = small_problem() if trajectory is None else small_problem(trajectory=trajectory)
+        start = prob.trajectory[0] + offset
+        with pytest.raises(error):
+            plan_push(prob, start)
+        with pytest.raises(error):
+            verify_push_plan(prob, start, [NoAction()] * (len(prob.trajectory) - 1))
 
     def test_kernel_replay_reproduces_runlog(self):
         prob = small_problem()

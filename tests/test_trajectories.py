@@ -1,6 +1,7 @@
 """Reference trajectory generators."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -9,10 +10,13 @@ from cageintime.core import BadSpec
 from cageintime.trajectories import (
     circle,
     lemniscate,
-    letters_polyline,
     resample_polyline,
     smooth_path,
 )
+
+# the letter stroke path of configs/ball_rice.yaml
+RICE = np.loadtxt(os.path.join(os.path.dirname(__file__), "..", "configs", "rice.csv"),
+                  delimiter=",")
 
 
 class TestCircle:
@@ -72,17 +76,15 @@ class TestResamplePolyline:
 
 class TestSmoothPath:
     def test_endpoints_held(self):
-        pts = letters_polyline(0.02)
-        sm = smooth_path(pts, 11, passes=4)
-        assert np.allclose(sm[0], pts[0])
-        assert np.allclose(sm[-1], pts[-1])
+        sm = smooth_path(RICE, 11, passes=4)
+        assert np.allclose(sm[0], RICE[0])
+        assert np.allclose(sm[-1], RICE[-1])
 
     def test_reduces_corner_acceleration(self):
-        pts = resample_polyline(letters_polyline(0.02), 0.001)
+        pts = resample_polyline(RICE, 0.001)
         sm = smooth_path(pts, 11, passes=4)
         acc = lambda p: np.max(np.abs(np.diff(p, n=2, axis=0)))
         assert acc(sm) < acc(pts)
 
     def test_window_one_identity(self):
-        pts = letters_polyline(1.0)
-        assert np.array_equal(smooth_path(pts, 1), pts)
+        assert np.array_equal(smooth_path(RICE, 1), RICE)
