@@ -576,11 +576,16 @@ def dynamic_control(
     return tuple(steps), result, log
 
 
+DEFAULT_HORIZON_S = 3.0  # s, the plate path length a config leaves out
+
+
 def horizon_steps(horizon_s: float, dt: float) -> int:
     """Control steps of dt in a plate path of horizon_s seconds: the one
     conversion of every ball path, which must hold at least one step."""
     if not horizon_s > 0.0:
         raise ValueError(f"horizon_s must be positive, got {horizon_s}")
+    if not math.isfinite(horizon_s):
+        raise ValueError(f"horizon_s must be finite, got {horizon_s}")
     T = int(round(horizon_s / dt))
     if T < 1:
         raise ValueError(f"horizon_s {horizon_s} is shorter than one {dt} s control step")
@@ -631,14 +636,17 @@ def default_uncertainty(n: int) -> UncertaintyModel:
 
 def balancing_setup(
     n: int = 1,
-    N: int = 81,
+    N: Optional[int] = None,
     half_length: float = 0.08,
     v_max: float = 1.0,
     k_ve: float = 10.0,
-    beta_max: float = 25.0,
+    beta_max: float = ControlParams.beta_max,
 ) -> TaskSetup:
     """Balancing task: belief uniform over 4 mm and 0.02 m/s around rest at
-    the plate center."""
+    the plate center, on N cells per axis (by default 81 on the line and 31
+    on the square plate, whose belief is 4-D)."""
+    if N is None:
+        N = 81 if n == 1 else 31
     b = tennis_ball()
     grid = ProbGrid.box(n, N, half_length, v_max, -0.004, 0.004, -0.02, 0.02)
     model = EnergyModel(k_ve=k_ve, m_eff=b.m_eff, mass=b.mass)
@@ -647,9 +655,9 @@ def balancing_setup(
 
 
 def catching_setup(
-    v_center: float,
-    dv: float,
-    beta_max: float = 25.0,
+    v_center: float = 0.8,
+    dv: float = 0.05,
+    beta_max: float = ControlParams.beta_max,
     k_ve: float = 60.0,
     N: int = 81,
     half_length: float = 0.15,
@@ -706,11 +714,16 @@ def verify_ball_plan(
     """Replay a tilt-rate plan through the generic verification driver,
     stepping with ``ball_step`` under the planner's ``rate_bounds``: a rate
     outside them is ``InfeasibleAction`` and a step that loses all the
-    belief mass is ``AllMassLost``, as in ``dynamic_control``."""
+    belief mass is ``AllMassLost``, as in ``dynamic_control``. A plan
+    shorter than the path replays as its prefix, as a failed plan of the
+    planner does; a longer one raises ValueError."""
     from .core import verify_caging_in_time
 
     n = initial.n
     traj = np.atleast_2d(np.asarray(trajectory, dtype=float))
+    if len(actions) > len(traj) - 1:
+        raise ValueError(f"plan of {len(actions)} steps is longer than "
+                         f"its {len(traj) - 1}-step path")
     accels = trajectory_accels(traj, params.dt)
     plate0 = PlateState(n, initial.x_max, initial_tilt, accels[0])
 
@@ -721,7 +734,7 @@ def verify_ball_plan(
         if np.any(u < lo - 1e-9) or np.any(u > hi + 1e-9):
             return state, FailureReason.InfeasibleAction
         # known defect: the planner steps under accels[t]; the benchmark pins this verdict
-        plate = replace(plate, accel=accels[min(t + 1, len(accels) - 1)])
+        plate = replace(plate, accel=accels[t + 1])
         try:
             grid, plate, record = ball_step(grid, plate, u, ball, unc, model, params.dt)
         except AllMassLost:

@@ -1,20 +1,24 @@
-"""YAML run-configuration ingestion.
+"""YAML run-configuration ingestion: the one reader of the config format.
 
 Every length field carries its unit as a suffix (_mm for the pushing task,
-_m for the dynamic task) so the two unit regimes cannot be confused.
+_m for the dynamic task) so the two unit regimes cannot be confused. A field
+the config leaves out takes the default of the library call it feeds
+(``PushProblem``, the ball setups, ``BallOracleConfig``). Building a run is
+its check: a value the task rejects raises before anything is planned.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import yaml
 
-from .ball import horizon_steps
+from . import ball as ballmod
+from . import oracle as oraclemod
 from .core import BadSpec, Vec2
+from .push import PushProblem
 from . import trajectories as traj
 
 
@@ -40,38 +44,48 @@ def load_config(path: str, seed: Optional[int] = None,
         raise BadSpec(f"cannot read config {path}: {e}") from e
     if not isinstance(raw, dict) or "task" not in raw:
         raise BadSpec(f"config {path} must be a mapping with a 'task' field")
-    cfg = RunConfig(
+    return RunConfig(
         task=str(raw["task"]),
         raw=raw,
         seed=int(seed if seed is not None else raw.get("seed", 0)),
         render=bool(render or raw.get("render", False)),
         out_dir=str(out_dir if out_dir is not None else raw.get("out", "out")),
     )
-    # fail fast on anything that would abort mid-run
-    validate(cfg)
-    return cfg
 
 
-def validate(cfg: RunConfig) -> None:
-    raw = cfg.raw
-    if cfg.task in ("push", "ball"):
-        spec = raw.get("trajectory")
-        if not isinstance(spec, dict) or "kind" not in spec:
-            raise BadSpec("trajectory spec must be a mapping with 'kind'")
-        if spec["kind"] == "polyline":
-            f = spec.get("file")
-            if not f or not os.path.exists(f):
-                raise BadSpec(f"polyline file missing: {f!r}")
-        if int(spec.get("steps", 2)) < 2:
-            raise BadSpec("trajectory steps must be at least 2")
-    if cfg.task == "sweep":
-        for key in ("v0_grid", "dv0_grid", "beta_grid"):
-            if not raw.get(key):
-                raise BadSpec(f"sweep requires nonempty {key}")
+def _given(raw: dict, keys: dict) -> dict:
+    """Keyword arguments of the keys present, each mapped to (parameter, type)."""
+    return {name: kind(raw[key]) for key, (name, kind) in keys.items() if key in raw}
+
+
+def _at_least_one(raw: dict, key: str, default: int) -> int:
+    value = int(raw.get(key, default))
+    if value < 1:
+        raise BadSpec(f"{key} must be at least 1, got {value}")
+    return value
+
+
+def _horizon_s(spec: dict) -> float:
+    return float(spec.get("horizon_s", ballmod.DEFAULT_HORIZON_S))
+
+
+def _trajectory_spec(raw: dict) -> dict:
+    spec = raw.get("trajectory")
+    if not isinstance(spec, dict) or "kind" not in spec:
+        raise BadSpec("trajectory spec must be a mapping with 'kind'")
+    return spec
+
+
+def _polyline(spec: dict, spacing_key: str) -> np.ndarray:
+    try:
+        pts = np.loadtxt(spec["file"], delimiter=",", ndmin=2)
+    except OSError as e:
+        raise BadSpec(f"cannot read polyline file {spec['file']!r}: {e}") from e
+    return traj.resample_polyline(pts, float(spec[spacing_key]))
 
 
 def push_trajectory(raw: dict) -> np.ndarray:
-    spec = raw["trajectory"]
+    spec = _trajectory_spec(raw)
     kind = spec["kind"]
     if kind == "circle":
         return traj.circle(float(spec["radius_mm"]), int(spec["steps"]))
@@ -80,19 +94,18 @@ def push_trajectory(raw: dict) -> np.ndarray:
             float(spec["amplitude_mm"]), int(spec["steps"]), int(spec.get("loops", 1))
         )
     if kind == "polyline":
-        pts = np.loadtxt(spec["file"], delimiter=",", ndmin=2)
-        return traj.resample_polyline(pts, float(spec["spacing_mm"]))
+        return _polyline(spec, "spacing_mm")
     raise BadSpec(f"unknown trajectory kind {kind!r}")
 
 
 def ball_trajectory(raw: dict, dt: float, n: int) -> Optional[np.ndarray]:
     """Build the plate path, or None for 'retreat' (task-derived path)."""
-    spec = raw["trajectory"]
+    spec = _trajectory_spec(raw)
     kind = spec["kind"]
     if kind == "retreat":
         return None
     if kind == "stationary":
-        T = horizon_steps(float(spec.get("horizon_s", 3.0)), dt)
+        T = ballmod.horizon_steps(_horizon_s(spec), dt)
         return np.zeros((T + 1, n + 1))
     if kind == "lemniscate":
         xy = traj.lemniscate(
@@ -100,13 +113,77 @@ def ball_trajectory(raw: dict, dt: float, n: int) -> Optional[np.ndarray]:
             int(spec.get("loops", 1)), ease=bool(spec.get("ease", True)),
         )
     elif kind == "polyline":
-        pts = np.loadtxt(spec["file"], delimiter=",", ndmin=2)
-        xy = traj.resample_polyline(pts, float(spec["spacing_m"]))
+        xy = _polyline(spec, "spacing_m")
     else:
         raise BadSpec(f"unknown trajectory kind {kind!r}")
     window = int(spec.get("smooth_window", 0))
     if window:
         xy = traj.smooth_path(xy, window, int(spec.get("smooth_passes", 1)))
-    if n == 1:
-        return np.column_stack([xy[:, 0], xy[:, 1]])
-    return np.column_stack([xy, np.zeros(len(xy))])
+    return xy if n == 1 else np.column_stack([xy, np.zeros(len(xy))])
+
+
+# config key -> (field, type) of PushProblem: the field name, with _mm on a length
+_PUSH_KEYS = {
+    key: (key.removesuffix("_mm"), type(getattr(PushProblem, key.removesuffix("_mm"))))
+    for key in ("object_radius_mm", "cage_size_mm", "K", "d_push_mm", "pusher_length_mm",
+                "resolution_mm", "lambda1", "lambda2", "margin_mm", "shortlist")
+}
+
+
+def build_push(cfg: RunConfig) -> tuple[PushProblem, Vec2, int, oraclemod.PushOracleConfig]:
+    """The problem, start position, oracle rollout count and oracle of a push run."""
+    raw = cfg.raw
+    waypoints = traj.as_vec2_list(push_trajectory(raw))
+    problem = PushProblem(trajectory=tuple(waypoints), **_given(raw, _PUSH_KEYS))
+    start = waypoints[0]
+    q0 = raw.get("initial_position_mm")
+    if q0 is not None:
+        try:
+            x, y = (float(c) for c in q0)
+            start = Vec2(x, y)
+        except (TypeError, ValueError) as e:
+            raise BadSpec(f"initial_position_mm must be two finite numbers, got {q0!r}") from e
+    # the push oracle runs as many rollouts as the ball oracle by default
+    rollouts = _at_least_one(raw, "rollouts", oraclemod.BallOracleConfig.rollouts)
+    return problem, start, rollouts, oraclemod.PushOracleConfig(
+        object_radius=float(raw.get("oracle_radius_mm", problem.object_radius)), seed=cfg.seed)
+
+
+# config key -> (parameter, type) of both ball setups
+_SETUP_KEYS = {"N": ("N", int), "v_max_m_s": ("v_max", float), "beta_max": ("beta_max", float),
+               "k_ve": ("k_ve", float), "half_length_m": ("half_length", float)}
+
+
+def build_ball(cfg: RunConfig) -> tuple[ballmod.TaskSetup, np.ndarray, oraclemod.BallOracleConfig]:
+    """The task setup, plate path and oracle of a ball run. A balance runs on
+    the plate of dimension n; a catch runs only on the line (n = 1)."""
+    raw = cfg.raw
+    spec = _trajectory_spec(raw)
+    mode = raw.get("mode", "balance")
+    if mode == "balance":
+        setup = ballmod.balancing_setup(**_given(raw, {"n": ("n", int), **_SETUP_KEYS}))
+    elif mode != "catch":
+        raise BadSpec(f"mode must be 'balance' or 'catch', got {mode!r}")
+    elif int(raw.get("n", 1)) != 1:
+        raise BadSpec(f"a catch runs on the line: n must be 1, got {raw['n']!r}")
+    else:
+        setup = ballmod.catching_setup(**_given(
+            raw, {"v0_m_s": ("v_center", float), "dv0_m_s": ("dv", float), **_SETUP_KEYS}))
+    path = ball_trajectory(raw, setup.params.dt, setup.grid.n)
+    if path is None:
+        path = setup.trajectory(_horizon_s(spec))
+    return setup, path, oraclemod.BallOracleConfig(
+        seed=cfg.seed, **_given(raw, {"rollouts": ("rollouts", int)}))
+
+
+def build_sweep(cfg: RunConfig) -> list[oraclemod.SweepCell]:
+    """Every cell of a sweep, its trial setups built."""
+    raw = cfg.raw
+    keys = ("v0_grid", "dv0_grid", "beta_grid")
+    for key in keys:
+        if not raw.get(key):
+            raise BadSpec(f"sweep requires nonempty {key}")
+    return oraclemod.sweep_cells(
+        *([float(v) for v in raw[key]] for key in keys),
+        trials=_at_least_one(raw, "trials", 100), seed=cfg.seed, horizon_s=_horizon_s(raw),
+    )

@@ -409,7 +409,7 @@ def sweep_cells(
     beta_grid: Sequence[float],
     trials: int,
     seed: int = 0,
-    horizon_s: float = 3.0,
+    horizon_s: float = ballmod.DEFAULT_HORIZON_S,
 ) -> list[SweepCell]:
     """Every cell's trial setups, built before anything is planned, so a
     grid value the catching task rejects raises ValueError here.

@@ -443,8 +443,13 @@ def verify_push_plan(
     actions: Sequence[Action],
 ) -> VerificationResult:
     """Independent replay of a plan through the generic verification driver,
-    rejecting the problems ``plan_push`` rejects."""
+    rejecting the problems ``plan_push`` rejects. A plan shorter than the
+    path replays as its prefix, as a failed plan of the planner does; a
+    longer one raises ValueError."""
     checked_spacing(problem, initial_position)
+    if len(actions) > len(problem.trajectory) - 1:
+        raise ValueError(f"plan of {len(actions)} steps is longer than "
+                         f"its {len(problem.trajectory) - 1}-step path")
 
     def step(pss, action, t):
         pss, record = push_step(problem, pss, action, t)

@@ -556,6 +556,15 @@ class TestDynamicControl:
         assert not replay.success
         assert replay.failure_reason is FailureReason.AllMassLost
 
+    def test_replay_rejects_a_plan_longer_than_its_path(self):
+        setup = B.balancing_setup()
+        rest = (setup.ball, setup.unc, setup.model, setup.params, setup.initial_tilt)
+        zero = TiltRate.of([0.0])
+        with pytest.raises(ValueError, match="plan of 10 steps is longer than its 1-step path"):
+            B.verify_ball_plan(setup.grid, [zero] * 10, np.zeros((2, 2)), *rest)
+        # a shorter plan, such as a failed plan of the planner, replays as its prefix
+        assert B.verify_ball_plan(setup.grid, [zero], np.zeros((11, 2)), *rest).success
+
     def test_wide_velocity_spread_infeasible_at_low_slew(self):
         setup = B.catching_setup(0.8, 0.5, beta_max=5.0)
         plan, result, _ = B.dynamic_control(

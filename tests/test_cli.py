@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 import yaml
 
-from cageintime import cli
+from cageintime import ball, cli
 from cageintime import oracle
-from cageintime.config import load_config
+from cageintime.config import build_ball, build_push, build_sweep, load_config
 
 
 def write_config(tmp_path, name, doc):
@@ -158,6 +158,27 @@ class TestConfigValidation:
         path = write_config(tmp_path, "c.yaml", doc)
         assert cli.main(["ball", "--config", path]) == 1
         assert capsys.readouterr().err.startswith("error: horizon_s")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode, kind", [("balance", "stationary"), ("catch", "retreat")])
+    def test_infinite_horizon_rejected(self, tmp_path, capsys, mode, kind):
+        out = tmp_path / "out"
+        doc = ball_doc(str(out), mode=mode, trajectory={"kind": kind, "horizon_s": float("inf")})
+        path = write_config(tmp_path, "c.yaml", doc)
+        assert cli.main(["ball", "--config", path]) == 1
+        assert capsys.readouterr().err.startswith("error: horizon_s must be finite, got inf")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"mode": "catchh"}, "error: mode must be 'balance' or 'catch', got 'catchh'"),
+        ({"mode": "catch", "n": 2}, "error: a catch runs on the line: n must be 1, got 2"),
+        ({"mode": "catch", "n": 2, "N": 81}, "error: a catch runs on the line: n must be 1"),
+    ])
+    def test_ball_mode_and_catch_dimension_rejected(self, tmp_path, capsys, fields, message):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, "c.yaml", ball_doc(str(out), **fields))
+        assert cli.main(["ball", "--config", path]) == 1
+        assert capsys.readouterr().err.startswith(message)
         assert not out.exists()
 
     @pytest.mark.parametrize("command", [["render"], ["sweep", "--render"]])
@@ -355,6 +376,25 @@ class TestSweepCommand:
 class TestRepoConfigs:
     def test_all_repo_configs_load(self):
         root = os.path.join(os.path.dirname(__file__), "..", "configs")
-        for name in os.listdir(root):
+        builders = {"push": build_push, "ball": build_ball, "sweep": build_sweep}
+        for name in sorted(os.listdir(root)):
             if name.endswith(".yaml"):
-                load_config(os.path.join(root, name))
+                cfg = load_config(os.path.join(root, name))
+                builders[cfg.task](cfg)
+
+
+class TestConfigDefaults:
+    @pytest.mark.parametrize("doc, want", [
+        ({"task": "ball", "trajectory": {"kind": "stationary"}}, ball.balancing_setup()),
+        ({"task": "ball", "mode": "catch", "trajectory": {"kind": "retreat"}},
+         ball.catching_setup(0.8, 0.05)),
+    ])
+    def test_left_out_ball_keys_take_the_setup_defaults(self, tmp_path, doc, want):
+        setup, path, ocfg = build_ball(load_config(write_config(tmp_path, "c.yaml", doc)))
+        got, ref = setup.grid, want.grid
+        assert (got.n, got.N, got.x_max, got.v_max) == (ref.n, ref.N, ref.x_max, ref.v_max)
+        assert np.array_equal(got.cells, ref.cells) and np.array_equal(got.p, ref.p)
+        assert setup.params == want.params and setup.model == want.model
+        assert setup.retreat == want.retreat
+        assert np.array_equal(path, want.trajectory(3.0))
+        assert ocfg == oracle.BallOracleConfig()

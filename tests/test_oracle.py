@@ -8,8 +8,8 @@ import pytest
 
 from cageintime.core import NoAction, PushAngle, TiltRate, Vec2
 from cageintime import ball as B
-from cageintime import cli, oracle
-from cageintime.config import load_config
+from cageintime import oracle
+from cageintime.config import build_push, load_config
 from cageintime.push import PushProblem, plan_push, pusher_pose
 from cageintime.trajectories import as_vec2_list, circle
 import scalar_oracle
@@ -154,7 +154,7 @@ class TestSimulatePushMatchesScalarReference:
 
 @pytest.fixture(scope="module", params=["push_circle.yaml", "push_lemniscate.yaml"])
 def shipped_plan(request):
-    problem, start = cli._push_problem(load_config(os.path.join(CONFIGS, request.param)))
+    problem, start, _, _ = build_push(load_config(os.path.join(CONFIGS, request.param)))
     plan, result, _ = plan_push(problem, start)
     assert result.success
     return problem, start, plan

@@ -31,9 +31,9 @@ from cageintime.push import (
     trigger_cage,
     verify_push_plan,
 )
-from cageintime import cli, oracle
+from cageintime import oracle
 from cageintime import push as push_module
-from cageintime.config import load_config
+from cageintime.config import build_push, load_config
 from cageintime.trajectories import as_vec2_list, circle
 import scalar_score
 from motion_set import SemiEllipseMotionSet, motion_set
@@ -267,7 +267,7 @@ class TestHeuristicScore:
             return calls[-1][1]
 
         monkeypatch.setattr(push_module, "heuristic_score", record)
-        problem, start = cli._push_problem(load_config(os.path.join(CONFIGS, "push_circle.yaml")))
+        problem, start, _, _ = build_push(load_config(os.path.join(CONFIGS, "push_circle.yaml")))
         plan, result, _ = plan_push(problem, start)
         assert result.success
         assert len(calls) == sum(isinstance(a, PushAngle) for a in plan) > 100
@@ -389,6 +389,15 @@ class TestPlanProperties:
             plan_push(prob, start)
         with pytest.raises(error):
             verify_push_plan(prob, start, [NoAction()] * (len(prob.trajectory) - 1))
+
+    def test_replay_rejects_a_plan_longer_than_its_path(self):
+        prob = small_problem()
+        plan, result, _ = plan_push(prob, prob.trajectory[0])
+        assert result.success and len(plan) == len(prob.trajectory) - 1 == 48
+        with pytest.raises(ValueError, match="plan of 49 steps is longer than its 48-step path"):
+            verify_push_plan(prob, prob.trajectory[0], [*plan, NoAction()])
+        # a shorter plan, such as a failed plan of the planner, replays as its prefix
+        assert verify_push_plan(prob, prob.trajectory[0], plan[:3]).success
 
     def test_kernel_replay_reproduces_runlog(self):
         prob = small_problem()
