@@ -9,6 +9,7 @@ its check: a value the task rejects raises before anything is planned.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -44,6 +45,10 @@ def load_config(path: str, seed: Optional[int] = None,
         raise BadSpec(f"cannot read config {path}: {e}") from e
     if not isinstance(raw, dict) or "task" not in raw:
         raise BadSpec(f"config {path} must be a mapping with a 'task' field")
+    spec = raw.get("trajectory")
+    if isinstance(spec, dict) and isinstance(spec.get("file"), str):
+        # a polyline file is named relative to the config that names it
+        spec["file"] = os.path.join(os.path.dirname(path), spec["file"])
     return RunConfig(
         task=str(raw["task"]),
         raw=raw,

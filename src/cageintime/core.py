@@ -61,6 +61,12 @@ class Vec2:
         return math.hypot(self.x, self.y)
 
 
+def cell_indices(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the true cells of a 2-D grid, in row-major
+    order: what ``np.nonzero`` returns, from one flat scan."""
+    return np.divmod(np.flatnonzero(cells), cells.shape[1])
+
+
 @dataclass(frozen=True)
 class PSSGrid:
     """Binary occupancy grid of possible planar object positions.
@@ -97,7 +103,7 @@ class PSSGrid:
 
     @property
     def count(self) -> int:
-        return int(self.cells.sum())
+        return int(np.count_nonzero(self.cells))
 
     def world(self, ii: np.ndarray, jj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """World-frame coordinates (x, y) of the cell centers at row indices
@@ -109,7 +115,7 @@ class PSSGrid:
 
     def occupied_world(self) -> np.ndarray:
         """World-frame coordinates of occupied cell centers, shape (M, 2)."""
-        return np.column_stack(self.world(*np.nonzero(self.cells)))
+        return np.column_stack(self.world(*cell_indices(self.cells)))
 
     @classmethod
     def from_points(

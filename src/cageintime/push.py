@@ -33,6 +33,7 @@ from .core import (
     VerificationResult,
     WaypointSpacingTooLarge,
     action_to_json,
+    cell_indices,
     contains_geometric,
     verify_caging_in_time,
 )
@@ -148,6 +149,24 @@ def _candidate_offsets(d_push: float, rho: float) -> tuple[np.ndarray, np.ndarra
     return offsets
 
 
+@functools.lru_cache(maxsize=None)
+def _forward_offsets(
+    direction: Vec2, d_push: float, rho: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The candidate offsets not behind a pusher moving along ``direction``
+    (u >= -1e-12), with u**2 and v**2 of their components along and across
+    it. Read-only, shared by every push at that angle, reach and resolution;
+    the offsets are int32 to keep the K entries of a plan small."""
+    odi, odj, ow = _candidate_offsets(d_push, rho)
+    u = ow[:, 0] * direction.x + ow[:, 1] * direction.y
+    v = -ow[:, 0] * direction.y + ow[:, 1] * direction.x
+    fwd = u >= -1e-12
+    offsets = (odi[fwd].astype(np.int32), odj[fwd].astype(np.int32), u[fwd] ** 2, v[fwd] ** 2)
+    for arr in offsets:
+        arr.setflags(write=False)
+    return offsets
+
+
 def propagate_pss(
     pss: PSSGrid,
     action: Optional[float],
@@ -172,7 +191,7 @@ def propagate_pss(
     sj, si = int(round(shift_x)), int(round(shift_y))
     new_center = Vec2(pss.frame_center.x + sj * rho, pss.frame_center.y + si * rho)
 
-    ii, jj = np.nonzero(pss.cells)
+    ii, jj = cell_indices(pss.cells)
     ii, jj = ii - si, jj - sj
     inside = (ii >= 0) & (ii < h) & (jj >= 0) & (jj < w)
     ii, jj = ii[inside], jj[inside]
@@ -192,19 +211,14 @@ def propagate_pss(
     if contact.any():
         # travel after first contact, in [0, d_push] for every contacted cell
         d_con = problem.d_push - np.maximum(0.0, dist[contact] - r)
-        odi, odj, ow = _candidate_offsets(problem.d_push, rho)
-        d = start.direction
-        u = ow[:, 0] * d.x + ow[:, 1] * d.y  # along the push direction
-        v = -ow[:, 0] * d.y + ow[:, 1] * d.x
+        # u along the push direction, v across it
+        odi, odj, u2, v2 = _forward_offsets(start.direction, problem.d_push, rho)
         a = d_con[:, None]
         b = a / 2.0
         with np.errstate(divide="ignore", invalid="ignore"):
-            reach = (u[None, :] >= -1e-12) & (
-                u[None, :] ** 2 / a**2 + v[None, :] ** 2 / b**2 <= 1.0 + 1e-12
-            )
-        pair_c, pair_o = np.nonzero(reach)
-        ni = ii[contact][pair_c] + odi[pair_o]
-        nj = jj[contact][pair_c] + odj[pair_o]
+            reach = u2 / a**2 + v2 / b**2 <= 1.0 + 1e-12
+        ni = (ii[contact][:, None] + odi)[reach]
+        nj = (jj[contact][:, None] + odj)[reach]
         keep = (ni >= 0) & (ni < h) & (nj >= 0) & (nj < w)
         cells[ni[keep], nj[keep]] = True
 
@@ -214,7 +228,7 @@ def propagate_pss(
     # friction bound, so anything closer than r*cos(d_push/2r) is impossible
     # (one extra pixel of slack for rasterization).
     r_pen = r * math.cos(min(math.pi / 2.0, problem.d_push / (2.0 * r))) - rho
-    oi, oj = np.nonzero(cells)
+    oi, oj = cell_indices(cells)
     pen = segment_distance(np.column_stack(moved.world(oi, oj)), final) < r_pen
     cells[oi[pen], oj[pen]] = False
     if not cells.any():
@@ -264,7 +278,7 @@ def heuristic_score(
     cell past it. Both are normalized (by cage area and cage radius) before
     weighting; an angle with no POA cell beyond its line scores 0.
     """
-    x, y = poa.world(*np.nonzero(poa.cells))
+    x, y = poa.world(*cell_indices(poa.cells))
     rho = poa.resolution
     cage_area = math.pi * cage_next.radius**2
     scores = np.zeros(len(thetas))

@@ -12,7 +12,6 @@ import time
 
 import numpy as np
 import pytest
-import yaml
 from scipy import ndimage
 
 from cageintime import ball as B
@@ -307,9 +306,7 @@ def test_criterion_09_dynamic_end_to_end():
     lem_traj = np.column_stack([lem[:, 0], lem[:, 1]])
     lem_max, lem_mean, lem_t = _dynamic_run(lem_traj)
 
-    with open(os.path.join(ROOT, "configs", "ball_rice.yaml")) as fh:
-        raw = yaml.safe_load(fh)
-    raw["trajectory"]["file"] = os.path.join(ROOT, raw["trajectory"]["file"])
+    raw = config.load_config(os.path.join(ROOT, "configs", "ball_rice.yaml")).raw
     let_traj = config.ball_trajectory(raw, B.ControlParams.dt, 1)
     let_max, let_mean, let_t = _dynamic_run(let_traj)
 

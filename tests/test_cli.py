@@ -383,6 +383,31 @@ class TestRepoConfigs:
                 builders[cfg.task](cfg)
 
 
+class TestPolylineFile:
+    """A polyline ``file`` is read relative to the config that names it,
+    whatever the working directory."""
+
+    def test_shipped_config_from_another_directory(self, tmp_path, monkeypatch):
+        path = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "configs",
+                                            "ball_rice.yaml"))
+        monkeypatch.chdir(tmp_path)
+        setup, traj, _ = build_ball(load_config(path))
+        assert traj.shape[1] == 1 + setup.grid.n and len(traj) > 100
+
+    def test_relative_and_absolute_files(self, tmp_path, monkeypatch):
+        (tmp_path / "cfg").mkdir()
+        (tmp_path / "cfg" / "pts.csv").write_text("0,0\n40,0\n40,30\n")
+        doc = push_doc(str(tmp_path / "out"))
+        doc["trajectory"] = {"kind": "polyline", "file": "pts.csv", "spacing_mm": 5.0}
+        path = write_config(tmp_path / "cfg", "c.yaml", doc)
+        monkeypatch.chdir(tmp_path)
+        problem, _, _, _ = build_push(load_config(path))
+        assert len(problem.trajectory) == 15  # 70 mm at 5 mm
+        doc["trajectory"]["file"] = str(tmp_path / "cfg" / "pts.csv")
+        path = write_config(tmp_path, "abs.yaml", doc)
+        assert build_push(load_config(path))[0] == problem
+
+
 class TestConfigDefaults:
     @pytest.mark.parametrize("doc, want", [
         ({"task": "ball", "trajectory": {"kind": "stationary"}}, ball.balancing_setup()),

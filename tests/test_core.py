@@ -20,6 +20,7 @@ from cageintime.core import (
     Vec2,
     VerificationResult,
     action_to_json,
+    cell_indices,
     contains_geometric,
     verify_caging_in_time,
 )
@@ -62,6 +63,22 @@ class TestPSSGrid:
         g = PSSGrid.from_points(np.zeros((1, 2)), 1.0, Vec2(0.0, 0.0), (5, 5))
         with pytest.raises(ValueError):
             g.cells[0, 0] = True
+
+
+class TestCellIndices:
+    @pytest.mark.parametrize("shape, fill", [
+        ((151, 151), 0.05), ((7, 7), 0.0), ((7, 7), 1.0),
+        ((5, 13), 0.4), ((13, 5), 0.4), ((1, 9), 0.5), ((9, 1), 0.5),
+    ])
+    def test_matches_nonzero(self, shape, fill):
+        # a non-square grid catches a divmod by the wrong dimension
+        cells = np.random.default_rng(shape[0] * shape[1]).random(shape) < fill
+        ii, jj = cell_indices(cells)
+        ri, rj = np.nonzero(cells)
+        assert ii.dtype == ri.dtype and jj.dtype == rj.dtype
+        assert np.array_equal(ii, ri) and np.array_equal(jj, rj)
+        g = PSSGrid(cells, 1.0, Vec2(0.0, 0.0))
+        assert g.count == int(cells.sum()) and type(g.count) is int
 
 
 class TestVerificationResult:

@@ -35,6 +35,7 @@ from cageintime import oracle
 from cageintime import push as push_module
 from cageintime.config import build_push, load_config
 from cageintime.trajectories import as_vec2_list, circle
+import scalar_propagate
 import scalar_score
 from motion_set import SemiEllipseMotionSet, motion_set
 
@@ -163,6 +164,18 @@ class TestCandidateOffsets:
         assert not any(arr.flags.writeable for arr in offsets)
         fresh = push_module._candidate_offsets.__wrapped__(20.0, 1.0)
         assert all(np.array_equal(a, b) for a, b in zip(offsets, fresh))
+
+    def test_forward_offsets_cached_read_only_and_not_behind(self):
+        d = pusher_pose(Vec2(0.0, 0.0), 45.0, 0.3, 50.0).direction
+        odi, odj, u2, v2 = offsets = push_module._forward_offsets(d, 20.0, 1.0)
+        assert push_module._forward_offsets(d, 20.0, 1.0) is offsets
+        assert not any(arr.flags.writeable for arr in offsets)
+        _, _, ow = push_module._candidate_offsets(20.0, 1.0)
+        u = ow[:, 0] * d.x + ow[:, 1] * d.y
+        # about half of the disk lies behind the pusher and is left out
+        assert len(odi) == np.count_nonzero(u >= -1e-12) < 0.6 * len(u)
+        assert np.array_equal(u2, np.square(odj * d.x + odi * d.y))
+        assert np.array_equal(v2, np.square(-odj * d.y + odi * d.x))
 
 
 class TestPOA:
@@ -364,6 +377,104 @@ class TestPropagatePSS:
             p = np.array([q.x + disp.x, q.y + disp.y])
             dmin = np.min(np.hypot(occ[:, 0] - p[0], occ[:, 1] - p[1]))
             assert dmin <= prob.resolution * math.sqrt(2.0) + 1e-9
+
+
+class TestPropagateMatchesReference:
+    """``propagate_pss`` equals the reference of ``scalar_propagate`` (2-D
+    ``np.nonzero`` scans, every offset tested) bit for bit, so every plan
+    stays the same."""
+
+    @staticmethod
+    def _same(pss, action, center, prob):
+        got = propagate_pss(pss, action, center, prob)
+        want = scalar_propagate.propagate_pss(pss, action, center, prob)
+        assert np.array_equal(got.cells, want.cells)
+        assert got.frame_center == want.frame_center
+        return got
+
+    def test_random_sets_frames_angles_and_reach(self):
+        rng = np.random.default_rng(14)
+        for _ in range(30):
+            # Python floats, as plan_push passes them
+            rho, d_push, r, cx, cy, dx, dy, theta, fill = (
+                rng.uniform(0.0, 1.0, 9) * [1.5, 25, 20, 200, 200, 12, 12, 2 * math.pi, 0.05]
+                + [0.5, 2, 10, -100, -100, -6, -6, 0, 0.002]
+            ).tolist()
+            prob = small_problem(resolution=rho, d_push=d_push, object_radius=r)
+            n = int(rng.integers(31, prob.grid_size + 1))
+            cells = rng.random((n, n)) < fill
+            cells[n // 2, n // 2] = True
+            pss = PSSGrid(cells, rho, Vec2(cx, cy))
+            for action in (theta, 2.0 * math.pi * int(rng.integers(1, 33)) / 32 % (2.0 * math.pi)):
+                self._same(pss, action, Vec2(cx + dx, cy + dy), prob)
+
+    def test_set_on_the_window_edge(self):
+        # a 41 x 41 window at the origin, pushed toward -x from theta = 0:
+        # the contacted cells on its top and bottom rows scatter past it,
+        # and a shift of the frame drops rows
+        prob = small_problem()
+        cells = np.zeros((41, 41), dtype=bool)
+        cells[[0, 1, 2, 39, 40], :] = True
+        cells[:, [0, 40]] = True
+        pss = PSSGrid(cells, 1.0, Vec2(0.0, 0.0))
+        out = self._same(pss, 0.0, Vec2(0.0, 0.0), prob)
+        wide = propagate_pss(PSSGrid(np.pad(cells, 20), 1.0, Vec2(0.0, 0.0)), 0.0,
+                             Vec2(0.0, 0.0), prob)
+        assert np.array_equal(wide.cells[20:61, 20:61], out.cells)
+        assert wide.count > out.count  # the scatter dropped cells
+        moved = self._same(pss, None, Vec2(0.0, 3.0), prob)
+        assert moved.count < pss.count  # the shift dropped cells
+        self._same(pss, 0.0, Vec2(0.0, 3.0), prob)
+        self._same(pss, math.pi / 2.0, Vec2(-2.0, 1.0), prob)
+
+    def test_cell_at_full_reach_is_not_moved(self):
+        # theta = 0: the pusher starts 45 mm out on +x with its segment
+        # along y, so the cell at the cage center is exactly r + d_push from it
+        prob = small_problem()
+        pss = PSSGrid.from_points(np.zeros((1, 2)), 1.0, Vec2(0.0, 0.0), (prob.grid_size,) * 2)
+        start = pusher_pose(Vec2(0.0, 0.0), prob.R, 0.0, prob.pusher_length / 2.0)
+        assert segment_distance(np.zeros((1, 2)), start)[0] == prob.object_radius + prob.d_push
+        out = self._same(pss, 0.0, Vec2(0.0, 0.0), prob)
+        assert out.count == 1  # d_con = 0 reaches no other offset
+
+    def test_side_offsets_across_the_push(self):
+        # theta = 0 pushes along (-1, -0.0) from a segment on x = 45 that
+        # ends at y = 50: the offsets straight across the push have u == 0
+        # exactly. The cell 20 mm in front of the segment's end and 15 mm
+        # past it has d_con = 20, so b = 10, and the side offsets more than
+        # 7 mm out clear the penetration cut.
+        prob = small_problem()
+        q = np.array([[25.0, 65.0]])
+        pss = PSSGrid.from_points(q, 1.0, Vec2(0.0, 0.0), (prob.grid_size,) * 2)
+        start = pusher_pose(Vec2(0.0, 0.0), prob.R, 0.0, prob.pusher_length / 2.0)
+        assert segment_distance(q, start)[0] == 25.0
+        assert 0.0 * start.direction.x + 7.0 * start.direction.y == 0.0
+        out = self._same(pss, 0.0, Vec2(0.0, 0.0), prob)
+        occupied = set(map(tuple, out.occupied_world()))
+        assert {(25.0, 73.0), (25.0, 75.0)} <= occupied
+
+    def test_no_push(self):
+        prob = small_problem()
+        pss = PSSGrid.from_points(np.array([[2.0, -1.0], [0.0, 3.0]]), 1.0,
+                                  Vec2(0.0, 0.0), (prob.grid_size,) * 2)
+        self._same(pss, None, Vec2(7.3, -4.6), prob)
+
+    @pytest.mark.parametrize("name", ["push_circle.yaml", "push_lemniscate.yaml"])
+    def test_every_call_of_a_shipped_plan(self, monkeypatch, name):
+        calls = []
+
+        def checked(*args):
+            calls.append(args[1])
+            return self._same(*args)
+
+        monkeypatch.setattr(push_module, "propagate_pss", checked)
+        problem, start, _, _ = build_push(load_config(os.path.join(CONFIGS, name)))
+        plan, result, _ = plan_push(problem, start)
+        assert result.success
+        assert len(calls) == len(problem.trajectory) - 1
+        assert sum(a is not None for a in calls) > 10
+        assert verify_push_plan(problem, start, plan).success
+        assert len(calls) == 2 * (len(problem.trajectory) - 1)
 
 
 class TestPlanProperties:
