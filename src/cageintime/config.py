@@ -52,19 +52,28 @@ def load_config(path: str, seed: Optional[int] = None,
     return RunConfig(
         task=str(raw["task"]),
         raw=raw,
-        seed=int(seed if seed is not None else raw.get("seed", 0)),
+        seed=_integer("seed", seed if seed is not None else raw.get("seed", 0)),
         render=bool(render or raw.get("render", False)),
         out_dir=str(out_dir if out_dir is not None else raw.get("out", "out")),
     )
 
 
+def _integer(key: str, value) -> int:
+    """An integer config value: an int or an integral float, never a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+            isinstance(value, float) and not value.is_integer()):
+        raise BadSpec(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _given(raw: dict, keys: dict) -> dict:
     """Keyword arguments of the keys present, each mapped to (parameter, type)."""
-    return {name: kind(raw[key]) for key, (name, kind) in keys.items() if key in raw}
+    return {name: _integer(key, raw[key]) if kind is int else kind(raw[key])
+            for key, (name, kind) in keys.items() if key in raw}
 
 
 def _at_least_one(raw: dict, key: str, default: int) -> int:
-    value = int(raw.get(key, default))
+    value = _integer(key, raw.get(key, default))
     if value < 1:
         raise BadSpec(f"{key} must be at least 1, got {value}")
     return value
@@ -93,11 +102,10 @@ def push_trajectory(raw: dict) -> np.ndarray:
     spec = _trajectory_spec(raw)
     kind = spec["kind"]
     if kind == "circle":
-        return traj.circle(float(spec["radius_mm"]), int(spec["steps"]))
+        return traj.circle(float(spec["radius_mm"]), _integer("steps", spec["steps"]))
     if kind == "lemniscate":
-        return traj.lemniscate(
-            float(spec["amplitude_mm"]), int(spec["steps"]), int(spec.get("loops", 1))
-        )
+        return traj.lemniscate(float(spec["amplitude_mm"]), _integer("steps", spec["steps"]),
+                               _integer("loops", spec.get("loops", 1)))
     if kind == "polyline":
         return _polyline(spec, "spacing_mm")
     raise BadSpec(f"unknown trajectory kind {kind!r}")
@@ -114,16 +122,16 @@ def ball_trajectory(raw: dict, dt: float, n: int) -> Optional[np.ndarray]:
         return np.zeros((T + 1, n + 1))
     if kind == "lemniscate":
         xy = traj.lemniscate(
-            float(spec["amplitude_m"]), int(spec["steps"]),
-            int(spec.get("loops", 1)), ease=bool(spec.get("ease", True)),
+            float(spec["amplitude_m"]), _integer("steps", spec["steps"]),
+            _integer("loops", spec.get("loops", 1)), ease=bool(spec.get("ease", True)),
         )
     elif kind == "polyline":
         xy = _polyline(spec, "spacing_m")
     else:
         raise BadSpec(f"unknown trajectory kind {kind!r}")
-    window = int(spec.get("smooth_window", 0))
+    window = _integer("smooth_window", spec.get("smooth_window", 0))
     if window:
-        xy = traj.smooth_path(xy, window, int(spec.get("smooth_passes", 1)))
+        xy = traj.smooth_path(xy, window, _integer("smooth_passes", spec.get("smooth_passes", 1)))
     return xy if n == 1 else np.column_stack([xy, np.zeros(len(xy))])
 
 
@@ -169,7 +177,7 @@ def build_ball(cfg: RunConfig) -> tuple[ballmod.TaskSetup, np.ndarray, oraclemod
         setup = ballmod.balancing_setup(**_given(raw, {"n": ("n", int), **_SETUP_KEYS}))
     elif mode != "catch":
         raise BadSpec(f"mode must be 'balance' or 'catch', got {mode!r}")
-    elif int(raw.get("n", 1)) != 1:
+    elif _integer("n", raw.get("n", 1)) != 1:
         raise BadSpec(f"a catch runs on the line: n must be 1, got {raw['n']!r}")
     else:
         setup = ballmod.catching_setup(**_given(

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -61,6 +61,10 @@ class PushProblem:
     margin: float = 4.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.object_radius <= 0 or self.cage_size <= 0:
             raise ValueError("object_radius and cage_size must be positive")
         if self.K < 3:
@@ -152,16 +156,22 @@ def _candidate_offsets(d_push: float, rho: float) -> tuple[np.ndarray, np.ndarra
 @functools.lru_cache(maxsize=None)
 def _forward_offsets(
     direction: Vec2, d_push: float, rho: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The candidate offsets not behind a pusher moving along ``direction``
     (u >= -1e-12), with u**2 and v**2 of their components along and across
-    it. Read-only, shared by every push at that angle, reach and resolution;
+    it, and the key u**2 + 4 v**2, stably sorted by the key: the offsets a
+    semi-ellipse of semi-axes (d_con, d_con/2) can hold are a prefix.
+    Read-only, shared by every push at that angle, reach and resolution;
     the offsets are int32 to keep the K entries of a plan small."""
     odi, odj, ow = _candidate_offsets(d_push, rho)
     u = ow[:, 0] * direction.x + ow[:, 1] * direction.y
     v = -ow[:, 0] * direction.y + ow[:, 1] * direction.x
     fwd = u >= -1e-12
-    offsets = (odi[fwd].astype(np.int32), odj[fwd].astype(np.int32), u[fwd] ** 2, v[fwd] ** 2)
+    u2, v2 = u[fwd] ** 2, v[fwd] ** 2
+    key = u2 + 4.0 * v2
+    order = np.argsort(key, kind="stable")
+    offsets = (odi[fwd][order].astype(np.int32), odj[fwd][order].astype(np.int32),
+               u2[order], v2[order], key[order])
     for arr in offsets:
         arr.setflags(write=False)
     return offsets
@@ -212,13 +222,19 @@ def propagate_pss(
         # travel after first contact, in [0, d_push] for every contacted cell
         d_con = problem.d_push - np.maximum(0.0, dist[contact] - r)
         # u along the push direction, v across it
-        odi, odj, u2, v2 = _forward_offsets(start.direction, problem.d_push, rho)
-        a = d_con[:, None]
+        odi, odj, u2, v2, key = _forward_offsets(start.direction, problem.d_push, rho)
+        # u2/a**2 + v2/b**2 is key/a**2 up to a few roundings, so the 1e-9
+        # slack keeps every offset the test below can pass: test only the
+        # sorted prefix of each cell, all prefixes laid end to end
+        counts = np.searchsorted(key, d_con * d_con * (1.0 + 1e-9), side="right")
+        ends = np.cumsum(counts)
+        o = np.arange(ends[-1]) - np.repeat(ends - counts, counts)
+        a = np.repeat(d_con, counts)
         b = a / 2.0
         with np.errstate(divide="ignore", invalid="ignore"):
-            reach = u2 / a**2 + v2 / b**2 <= 1.0 + 1e-12
-        ni = (ii[contact][:, None] + odi)[reach]
-        nj = (jj[contact][:, None] + odj)[reach]
+            reach = u2[o] / a**2 + v2[o] / b**2 <= 1.0 + 1e-12
+        ni = np.repeat(ii[contact], counts)[reach] + odi[o[reach]]
+        nj = np.repeat(jj[contact], counts)[reach] + odj[o[reach]]
         keep = (ni >= 0) & (ni < h) & (nj >= 0) & (nj < w)
         cells[ni[keep], nj[keep]] = True
 
@@ -279,6 +295,14 @@ def heuristic_score(
     weighting; an angle with no POA cell beyond its line scores 0.
     """
     x, y = poa.world(*cell_indices(poa.cells))
+    # a cell past a line tangent to the circle of radius R lies outside that
+    # circle: project only the ring of cells at least R - 1e-6 from its
+    # center. The computed distances and projections are off by a few ulps
+    # of the coordinates (about 1e-11 at 1e5 mm from the origin), so a
+    # dropped cell projects to about -1e-6, never past the 1e-9 threshold
+    cx, cy = cage_next.center.x, cage_next.center.y
+    ring = (x - cx) ** 2 + (y - cy) ** 2 >= max(R - 1e-6, 0.0) ** 2
+    x, y = x[ring], y[ring]
     rho = poa.resolution
     cage_area = math.pi * cage_next.radius**2
     scores = np.zeros(len(thetas))

@@ -3,8 +3,9 @@
 ``push.propagate_pss`` used to scan the grid with 2-D ``np.nonzero`` and to
 test every candidate offset of every contacted cell against its
 semi-ellipse, including the half that lies behind the pusher. This module
-keeps that implementation; the current ``push.propagate_pss`` is checked
-against it bit for bit.
+keeps that implementation; the current ``push.propagate_pss``, which tests
+each contacted cell only on the forward offsets its semi-ellipse can hold,
+is checked against it bit for bit.
 """
 
 from __future__ import annotations

@@ -2,8 +2,9 @@
 
 ``push.heuristic_score`` used to score one candidate angle per call, and
 ``find_push`` called it K times per step. This module keeps that
-implementation; the batched ``push.heuristic_score`` is checked against it
-bit for bit.
+implementation; the batched ``push.heuristic_score``, which projects only
+the POA cells outside the circle of radius R, is checked against it bit for
+bit.
 """
 
 from __future__ import annotations

@@ -38,8 +38,8 @@ def test_every_workload_builds():
         assert len(tasks.build(workload)) == len(entries)
 
 
-# push_lemniscate_long is left out: its 1600-step plan is the benchmark's slowest
-@pytest.mark.parametrize("workload", ["push_circle", "ball_line", "ball_square"])
+@pytest.mark.parametrize("workload", ["push_circle", "push_lemniscate_long", "ball_line",
+                                      "ball_square"])
 def test_plans_match_reference(workload):
     tasks = load("tasks")
     reference = tasks.load_reference()

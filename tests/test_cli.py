@@ -11,6 +11,8 @@ from cageintime import ball, cli
 from cageintime import oracle
 from cageintime.config import build_ball, build_push, build_sweep, load_config
 
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
+
 
 def write_config(tmp_path, name, doc):
     path = tmp_path / name
@@ -190,6 +192,42 @@ class TestConfigValidation:
         assert cli.main([*command, "--config", path]) == 1
         assert capsys.readouterr().err.startswith("error: a sweep has no frames")
         assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("resolution_mm", float("nan")), ("d_push_mm", float("nan")),
+        ("cage_size_mm", float("inf")), ("object_radius_mm", float("nan")),
+        ("lambda1", float("nan")),
+    ])
+    def test_non_finite_push_value_rejected(self, tmp_path, capsys, key, value):
+        out = tmp_path / "out"
+        with open(os.path.join(CONFIGS, "push_circle.yaml")) as fh:
+            doc = yaml.safe_load(fh)
+        doc.update({key: value, "out": str(out)})
+        path = write_config(tmp_path, "c.yaml", doc)
+        assert cli.main(["push", "--config", path]) == 1
+        field = key.removesuffix("_mm")
+        assert capsys.readouterr().err.startswith(f"error: {field} must be finite, got {value}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("task, key, value", [
+        ("push", "K", 32.9), ("push", "K", True), ("push", "rollouts", 2.5),
+        ("push", "steps", 48.5), ("ball", "rollouts", 2.5), ("ball", "N", "81"),
+    ])
+    def test_non_integral_count_rejected(self, tmp_path, capsys, task, key, value):
+        out = tmp_path / "out"
+        doc = (push_doc if task == "push" else ball_doc)(str(out))
+        (doc["trajectory"] if key == "steps" else doc)[key] = value
+        path = write_config(tmp_path, "c.yaml", doc)
+        assert cli.main([task, "--config", path]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {key} must be an integer, got {value!r}")
+        assert not out.exists()
+
+    def test_integral_float_count_accepted(self, tmp_path):
+        doc = push_doc(str(tmp_path / "out"), K=16.0, rollouts=3.0)
+        doc["trajectory"]["steps"] = 48.0
+        problem, _, rollouts, _ = build_push(load_config(write_config(tmp_path, "c.yaml", doc)))
+        assert (problem.K, rollouts, len(problem.trajectory)) == (16, 3, 48)
+        assert type(problem.K) is int
 
     def test_oracle_radius_too_small(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -80,6 +80,13 @@ class TestPushProblem:
         with pytest.raises(ValueError):
             small_problem(margin=20.0)
 
+    @pytest.mark.parametrize("field", ["object_radius", "cage_size", "d_push", "pusher_length",
+                                       "resolution", "lambda1", "lambda2", "margin"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            small_problem(**{field: value})
+
     def test_spacing_check(self):
         prob = small_problem(trajectory=(Vec2(0.0, 0.0), Vec2(30.0, 0.0)))
         with pytest.raises(WaypointSpacingTooLarge):
@@ -167,15 +174,21 @@ class TestCandidateOffsets:
 
     def test_forward_offsets_cached_read_only_and_not_behind(self):
         d = pusher_pose(Vec2(0.0, 0.0), 45.0, 0.3, 50.0).direction
-        odi, odj, u2, v2 = offsets = push_module._forward_offsets(d, 20.0, 1.0)
+        odi, odj, u2, v2, key = offsets = push_module._forward_offsets(d, 20.0, 1.0)
         assert push_module._forward_offsets(d, 20.0, 1.0) is offsets
         assert not any(arr.flags.writeable for arr in offsets)
-        _, _, ow = push_module._candidate_offsets(20.0, 1.0)
+        cdi, cdj, ow = push_module._candidate_offsets(20.0, 1.0)
         u = ow[:, 0] * d.x + ow[:, 1] * d.y
         # about half of the disk lies behind the pusher and is left out
-        assert len(odi) == np.count_nonzero(u >= -1e-12) < 0.6 * len(u)
+        fwd = u >= -1e-12
+        assert len(odi) == np.count_nonzero(fwd) < 0.6 * len(u)
         assert np.array_equal(u2, np.square(odj * d.x + odi * d.y))
         assert np.array_equal(v2, np.square(-odj * d.y + odi * d.x))
+        # sorted by the semi-ellipse key, and the same offsets as the filter
+        assert np.array_equal(key, u2 + 4 * v2)
+        assert np.all(np.diff(key) >= 0.0)
+        assert (sorted(zip(odi.tolist(), odj.tolist()))
+                == sorted(zip(cdi[fwd].tolist(), cdj[fwd].tolist())))
 
 
 class TestPOA:
@@ -270,6 +283,29 @@ class TestHeuristicScore:
         empty = PSSGrid(np.zeros((21, 21), dtype=bool), 1.0, Vec2(0.0, 0.0))
         batch, scalar = self._both(empty, thetas, CageCircle(Vec2(0.0, 0.0), 4.0), 5.0)
         assert np.array_equal(batch, np.zeros(16)) and np.array_equal(batch, scalar)
+
+    @pytest.mark.parametrize("origin", [0.0, 1e5])
+    @pytest.mark.parametrize("delta", [1e-7, -1e-7])
+    @pytest.mark.parametrize("side", ["right", "top"])
+    def test_cell_beside_a_tangent_point(self, origin, delta, side):
+        # one POA cell R + delta from the cage center, beside the tangent
+        # point of theta = 2 pi (right) or pi / 2 (top), next to a disk of
+        # cells well inside the circle, in a frame at (origin, origin)
+        R = 45.0
+        yy, xx = np.mgrid[-50:51, -50:51]
+        cells = xx * xx + yy * yy <= 30 * 30
+        frame = Vec2(origin, origin)
+        if side == "right":
+            cells[50, 95] = True
+            center, k = Vec2(origin - delta, origin), 16
+        else:
+            cells[95, 50] = True
+            center, k = Vec2(origin, origin - delta), 4
+        poa = PSSGrid(cells, 1.0, frame)
+        batch, scalar = self._both(poa, angles(16), CageCircle(center, 5.0), R)
+        assert np.array_equal(batch, scalar)
+        # the cell is past the tangent line exactly when it lies outside the circle
+        assert (batch[k - 1] > 0.0) == (delta > 0.0)
 
     def test_matches_scalar_on_push_circle_plan(self, monkeypatch):
         calls = []
@@ -452,6 +488,29 @@ class TestPropagateMatchesReference:
         out = self._same(pss, 0.0, Vec2(0.0, 0.0), prob)
         occupied = set(map(tuple, out.occupied_world()))
         assert {(25.0, 73.0), (25.0, 75.0)} <= occupied
+
+    @pytest.mark.parametrize("j, gap", [(20, 0.0), (20, 2e-12), (0, -1e-9)])
+    def test_contact_travel_at_the_ends_of_its_range(self, j, gap):
+        # theta = 0 with r = 5: the pusher starts on x = 25 and pushes
+        # toward -x, and d_push / (2 r) > pi / 2 leaves no penetration cut.
+        # One cell j mm right of the cage center, in a frame shifted by
+        # -gap: it lies 5 + gap mm from the pusher, so d_con = 20 - gap is
+        # d_push itself (its apex offset on the key d_con**2), just under
+        # it, or 1e-9 mm
+        prob = small_problem(object_radius=5.0)
+        n = prob.grid_size
+        cells = np.zeros((n, n), dtype=bool)
+        cells[n // 2, n // 2 + j] = True
+        pss = PSSGrid(cells, 1.0, Vec2(-gap, 0.0))
+        start = pusher_pose(Vec2(0.0, 0.0), prob.R, 0.0, prob.pusher_length / 2.0)
+        dist = segment_distance(pss.occupied_world(), start)[0]
+        d_con = prob.d_push - max(0.0, dist - prob.object_radius)
+        assert d_con == pytest.approx(j - gap, abs=1e-14)
+        out = self._same(pss, 0.0, Vec2(0.0, 0.0), prob)
+        if j:
+            assert out.cells[n // 2, n // 2]  # the apex, d_con mm ahead
+        else:
+            assert out.count == 1
 
     def test_no_push(self):
         prob = small_problem()
