@@ -14,8 +14,6 @@ import sys
 from dataclasses import replace
 from typing import Callable
 
-import numpy as np
-
 from . import ball as ballmod
 from . import oracle as oraclemod
 from .config import BadSpec, RunConfig, build_ball, build_push, build_sweep, load_config
@@ -75,9 +73,7 @@ def _push_run(cfg: RunConfig) -> Callable[[], int]:
                                     problem.object_radius)
 
     def oracle(plan):
-        errors = [oraclemod.rollout_push_plan(plan, problem, start, ocfg,
-                                              np.random.default_rng(cfg.seed + i))[1]
-                  for i in range(rollouts)]
+        errors = [e for _, e in oraclemod.push_rollouts(plan, problem, start, ocfg, rollouts)]
         worst = max(0.0, *errors)
         return ([["rollout", "max_error_mm"], *([i, f"{e:.4f}"] for i, e in enumerate(errors))],
                 f"plan verified; worst oracle tracking error {worst:.2f} mm "
@@ -116,9 +112,9 @@ def _ball_run(cfg: RunConfig) -> Callable[[], int]:
     ), frames, oracle)
 
 
-def _sweep(cfg: RunConfig, cells: list[oraclemod.SweepCell]) -> int:
-    header = ["v0", "dv0", "beta_max", "success_rate"]
-    rows = [[r[k] for k in header] for r in oraclemod.sensitivity_sweep(cells)]
+def _sweep(cfg: RunConfig, header, cells: list, run: Callable) -> int:
+    # a push grid cell that failed to plan has no error columns
+    rows = [[r.get(k, "") for k in header] for r in run(cells)]
     os.makedirs(cfg.out_dir, exist_ok=True)
     _write_csv(os.path.join(cfg.out_dir, "sweep.csv"), [header, *rows])
     print(f"sweep finished: {len(rows)} cells")
@@ -141,8 +137,8 @@ def _prepared(args: argparse.Namespace) -> Callable[[], int]:
         if cfg.task == "sweep" and cfg.render:
             raise BadSpec("a sweep has no frames to render; render a push or ball config")
         if cfg.task == "sweep":
-            cells = build_sweep(cfg)
-            return lambda: _sweep(cfg, cells)
+            sweep = build_sweep(cfg)
+            return lambda: _sweep(cfg, *sweep)
         return (_push_run if cfg.task == "push" else _ball_run)(cfg)
     except BadSpec:
         raise

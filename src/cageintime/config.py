@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 import numpy as np
 import yaml
@@ -66,9 +67,16 @@ def _integer(key: str, value) -> int:
     return int(value)
 
 
+def _real(key: str, value) -> float:
+    """A real config value: an int or a float, never a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise BadSpec(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def _given(raw: dict, keys: dict) -> dict:
     """Keyword arguments of the keys present, each mapped to (parameter, type)."""
-    return {name: _integer(key, raw[key]) if kind is int else kind(raw[key])
+    return {name: (_integer if kind is int else _real)(key, raw[key])
             for key, (name, kind) in keys.items() if key in raw}
 
 
@@ -80,7 +88,7 @@ def _at_least_one(raw: dict, key: str, default: int) -> int:
 
 
 def _horizon_s(spec: dict) -> float:
-    return float(spec.get("horizon_s", ballmod.DEFAULT_HORIZON_S))
+    return _real("horizon_s", spec.get("horizon_s", ballmod.DEFAULT_HORIZON_S))
 
 
 def _trajectory_spec(raw: dict) -> dict:
@@ -95,16 +103,17 @@ def _polyline(spec: dict, spacing_key: str) -> np.ndarray:
         pts = np.loadtxt(spec["file"], delimiter=",", ndmin=2)
     except OSError as e:
         raise BadSpec(f"cannot read polyline file {spec['file']!r}: {e}") from e
-    return traj.resample_polyline(pts, float(spec[spacing_key]))
+    return traj.resample_polyline(pts, _real(spacing_key, spec[spacing_key]))
 
 
 def push_trajectory(raw: dict) -> np.ndarray:
     spec = _trajectory_spec(raw)
     kind = spec["kind"]
     if kind == "circle":
-        return traj.circle(float(spec["radius_mm"]), _integer("steps", spec["steps"]))
+        return traj.circle(_real("radius_mm", spec["radius_mm"]), _integer("steps", spec["steps"]))
     if kind == "lemniscate":
-        return traj.lemniscate(float(spec["amplitude_mm"]), _integer("steps", spec["steps"]),
+        return traj.lemniscate(_real("amplitude_mm", spec["amplitude_mm"]),
+                               _integer("steps", spec["steps"]),
                                _integer("loops", spec.get("loops", 1)))
     if kind == "polyline":
         return _polyline(spec, "spacing_mm")
@@ -122,7 +131,7 @@ def ball_trajectory(raw: dict, dt: float, n: int) -> Optional[np.ndarray]:
         return np.zeros((T + 1, n + 1))
     if kind == "lemniscate":
         xy = traj.lemniscate(
-            float(spec["amplitude_m"]), _integer("steps", spec["steps"]),
+            _real("amplitude_m", spec["amplitude_m"]), _integer("steps", spec["steps"]),
             _integer("loops", spec.get("loops", 1)), ease=bool(spec.get("ease", True)),
         )
     elif kind == "polyline":
@@ -152,14 +161,18 @@ def build_push(cfg: RunConfig) -> tuple[PushProblem, Vec2, int, oraclemod.PushOr
     q0 = raw.get("initial_position_mm")
     if q0 is not None:
         try:
-            x, y = (float(c) for c in q0)
+            x, y = (_real("initial_position_mm", c) for c in q0)
             start = Vec2(x, y)
         except (TypeError, ValueError) as e:
             raise BadSpec(f"initial_position_mm must be two finite numbers, got {q0!r}") from e
     # the push oracle runs as many rollouts as the ball oracle by default
     rollouts = _at_least_one(raw, "rollouts", oraclemod.BallOracleConfig.rollouts)
+    radius = _real("oracle_radius_mm", raw.get("oracle_radius_mm", problem.object_radius))
+    if radius > problem.object_radius:
+        raise BadSpec(f"oracle_radius_mm must not exceed object_radius_mm "
+                      f"{problem.object_radius}, got {radius}")
     return problem, start, rollouts, oraclemod.PushOracleConfig(
-        object_radius=float(raw.get("oracle_radius_mm", problem.object_radius)), seed=cfg.seed)
+        object_radius=radius, seed=cfg.seed)
 
 
 # config key -> (parameter, type) of both ball setups
@@ -189,14 +202,32 @@ def build_ball(cfg: RunConfig) -> tuple[ballmod.TaskSetup, np.ndarray, oraclemod
         seed=cfg.seed, **_given(raw, {"rollouts": ("rollouts", int)}))
 
 
-def build_sweep(cfg: RunConfig) -> list[oraclemod.SweepCell]:
-    """Every cell of a sweep, its trial setups built."""
+_CATCH_GRIDS = ("v0_grid", "dv0_grid", "beta_grid")
+_PUSH_GRIDS = ("circle_steps", "K_grid")
+
+
+def build_sweep(cfg: RunConfig) -> tuple[tuple[str, ...], list, Callable[[list], list[dict]]]:
+    """The CSV columns, every cell built, and the runner of one row per
+    cell: the catching sweep or the push grid, by which grids the config sets."""
     raw = cfg.raw
-    keys = ("v0_grid", "dv0_grid", "beta_grid")
-    for key in keys:
+    kinds = [keys for keys in (_CATCH_GRIDS, _PUSH_GRIDS) if any(key in raw for key in keys)]
+    if len(kinds) != 1:
+        raise BadSpec(f"a sweep sets exactly one kind of grid: the catch grids "
+                      f"{', '.join(_CATCH_GRIDS)} or the push grid {', '.join(_PUSH_GRIDS)}")
+    for key in kinds[0]:
         if not raw.get(key):
             raise BadSpec(f"sweep requires nonempty {key}")
-    return oraclemod.sweep_cells(
-        *([float(v) for v in raw[key]] for key in keys),
+    if kinds[0] is _PUSH_GRIDS:
+        steps = raw["circle_steps"]
+        if not isinstance(steps, dict):
+            raise BadSpec(f"circle_steps must map cage sizes to waypoint counts, got {steps!r}")
+        problems = oraclemod.push_grid_cells(
+            {_real("circle_steps cage size", c): _integer("circle_steps", n)
+             for c, n in steps.items()}, [_integer("K_grid", K) for K in raw["K_grid"]])
+        return oraclemod.PUSH_GRID_COLUMNS, problems, partial(
+            oraclemod.push_grid, rollouts=_at_least_one(raw, "rollouts", 100), seed=cfg.seed)
+    cells = oraclemod.sweep_cells(
+        *([_real(key, v) for v in raw[key]] for key in _CATCH_GRIDS),
         trials=_at_least_one(raw, "trials", 100), seed=cfg.seed, horizon_s=_horizon_s(raw),
     )
+    return oraclemod.SWEEP_COLUMNS, cells, oraclemod.sensitivity_sweep

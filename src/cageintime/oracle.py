@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Optional, Sequence
+from typing import ClassVar, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .core import Action, PushAngle, TiltRate, Vec2
-from .push import PushProblem, PusherPose, pusher_pose
+from .push import PushProblem, PusherPose, plan_push, pusher_pose
 from . import ball as ballmod
+from . import trajectories as trajmod
 
 
 @dataclass(frozen=True)
@@ -28,6 +29,9 @@ class PushOracleConfig:
     delta_m: ClassVar[float] = 0.5  # micro-step, mm
 
     def __post_init__(self):
+        if not math.isfinite(self.object_radius):
+            raise ValueError(f"oracle_radius_mm: object radius must be finite, "
+                             f"got {self.object_radius}")
         if not self.delta_m < self.object_radius / 4.0:
             raise ValueError("oracle_radius_mm: object radius must exceed 4 micro-steps")
 
@@ -144,6 +148,14 @@ def rollout_push_plan(
         err = (q - problem.trajectory[t + 1]).norm()
         max_err = max(max_err, err)
     return positions, max_err
+
+
+def push_rollouts(plan: Sequence[Action], problem: PushProblem, q0: Vec2, cfg: PushOracleConfig,
+                  rollouts: int) -> list[tuple[list[Vec2], float]]:
+    """Each seeded rollout's ``rollout_push_plan`` result; rollout i draws
+    from ``np.random.default_rng(cfg.seed + i)``."""
+    return [rollout_push_plan(plan, problem, q0, cfg, np.random.default_rng(cfg.seed + i))
+            for i in range(rollouts)]
 
 
 def naive_tangent_rollout(
@@ -388,7 +400,7 @@ def rollout_ball(
     return successes / R, max_abs
 
 
-# --- sensitivity sweep ----------------------------------------------------
+# --- sweeps: catching sensitivity and the push grid ------------------------
 
 
 @dataclass(frozen=True)
@@ -439,6 +451,9 @@ def sweep_cells(
     return cells
 
 
+SWEEP_COLUMNS = ("v0", "dv0", "beta_max", "success_rate")
+
+
 def sensitivity_sweep(cells: Sequence[SweepCell]) -> list[dict]:
     """Planning-feasibility success rates for the catching task.
 
@@ -464,4 +479,45 @@ def sensitivity_sweep(cells: Sequence[SweepCell]) -> list[dict]:
                 "success_rate": ok / len(cell.setups),
             }
         )
+    return rows
+
+
+PUSH_GRID_COLUMNS = ("cage", "K", "planned", "mae_mm", "max_mm", "contained")
+
+
+def push_grid_cells(circle_steps: Mapping[float, int], Ks: Sequence[int]) -> list[PushProblem]:
+    """Every (cage size, K) cell's problem, built before anything is planned,
+    so a value ``PushProblem`` rejects raises ValueError here.
+
+    circle_steps maps each cage size to its waypoint count on a 150 mm circle
+    closed on its first waypoint. The push depth follows the cage size,
+    floored at 12 mm and capped at 30 mm so the per-push motion set stays
+    inside a large cage.
+    """
+    circles = {cage: trajmod.as_vec2_list(trajmod.circle(150.0, steps))
+               for cage, steps in circle_steps.items()}
+    return [PushProblem(cage_size=cage, K=K, d_push=min(max(cage, 12.0), 30.0),
+                        trajectory=(*waypoints, waypoints[0]))
+            for cage, waypoints in circles.items() for K in Ks]
+
+
+def push_grid(problems: Sequence[PushProblem], rollouts: int, seed: int) -> list[dict]:
+    """Open-loop containment and tracking error of each problem planned
+    from its first waypoint, over ``push_rollouts`` from ``seed``. One row
+    per cell: {cage, K, planned} and, when planned, the mean waypoint
+    distance over every rollout step, the worst one, and whether that
+    stayed within the cage size."""
+    rows = []
+    for problem in problems:
+        start = problem.trajectory[0]
+        plan, result, _ = plan_push(problem, start)
+        row = {"cage": problem.cage_size, "K": problem.K, "planned": result.success}
+        if result.success:
+            runs = push_rollouts(plan, problem, start, PushOracleConfig(seed=seed), rollouts)
+            errors = [(q - w).norm() for positions, _ in runs
+                      for q, w in zip(positions, problem.trajectory)]
+            worst = max(0.0, *(max_err for _, max_err in runs))
+            row.update(mae_mm=float(np.mean(errors)), max_mm=worst,
+                       contained=worst <= problem.cage_size)
+        rows.append(row)
     return rows

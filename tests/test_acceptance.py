@@ -2,8 +2,8 @@
 
 Each test covers one acceptance criterion at its stated tolerance and prints
 one PASS/FAIL line (visible with -s or in failure output). The heavy
-push-planning grid is computed once and shared between the containment and
-trend criteria.
+push-planning grid of configs/push_grid.yaml is run once and shared between
+the containment and trend criteria.
 """
 
 import math
@@ -26,59 +26,37 @@ from qp_oracle import grid_search, kkt_residuals, random_instance
 from scalar_oracle import exact_accel
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
-CAGES = (10.0, 20.0, 30.0, 40.0)
-KS = (16, 32, 64, 128)
-CIRCLE_STEPS = {10.0: 240, 20.0: 120, 30.0: 120, 40.0: 110}
+PUSH_GRID = os.path.join(ROOT, "configs", "push_grid.yaml")
 
 
 def _line(num: int, ok: bool, detail: str) -> None:
     print(f"criterion {num:02d}: {'PASS' if ok else 'FAIL'} - {detail}")
 
 
-def push_problem(cage: float, K: int, steps: int = None) -> PushProblem:
-    steps = CIRCLE_STEPS[cage] if steps is None else steps
-    traj = T.as_vec2_list(T.circle(150.0, steps))
-    traj.append(traj[0])
-    return PushProblem(
-        object_radius=25.0, cage_size=cage, K=K,
-        d_push=min(max(cage, 12.0), 30.0), pusher_length=100.0,
-        resolution=1.0, margin=4.0, shortlist=2, trajectory=tuple(traj),
-    )
+def push_grid_problem(cage: float, K: int) -> PushProblem:
+    """The (cage, K) cell of configs/push_grid.yaml."""
+    _, problems, _ = config.build_sweep(config.load_config(PUSH_GRID))
+    return next(p for p in problems if (p.cage_size, p.K) == (cage, K))
 
 
 @pytest.fixture(scope="module")
 def push_grid():
-    """Plan and roll out every (cage, K) cell once; 100 rollouts per cell."""
-    cells = {}
+    """Every (cage, K) row of configs/push_grid.yaml, run once through the
+    sweep's runner: 100 rollouts per cell from seed 1000."""
+    _, problems, run = config.build_sweep(config.load_config(PUSH_GRID))
     t0 = time.time()
-    for cage in CAGES:
-        for K in KS:
-            prob = push_problem(cage, K)
-            plan, result, _ = plan_push(prob, prob.trajectory[0])
-            if not result.success:
-                cells[(cage, K)] = None
-                continue
-            errs = []
-            worst = 0.0
-            for s in range(100):
-                rng = np.random.default_rng(1000 + s)
-                cfg = oracle.PushOracleConfig(seed=1000 + s)
-                pos, max_err = oracle.rollout_push_plan(
-                    plan, prob, prob.trajectory[0], cfg, rng)
-                worst = max(worst, max_err)
-                errs.extend((p - prob.trajectory[i]).norm()
-                            for i, p in enumerate(pos))
-            cells[(cage, K)] = {"mae": float(np.mean(errs)), "max": worst}
-    return {"cells": cells, "elapsed": time.time() - t0}
+    rows = run(problems)
+    return {"cells": {(r["cage"], r["K"]): r if r["planned"] else None for r in rows},
+            "elapsed": time.time() - t0}
 
 
 def test_criterion_01_push_containment(push_grid):
     cells, elapsed = push_grid["cells"], push_grid["elapsed"]
-    planned = all(v is not None for v in cells.values())
-    contained = planned and all(v["max"] <= cage + 1e-12
+    planned = len(cells) == 16 and all(v is not None for v in cells.values())
+    contained = planned and all(v["max_mm"] <= cage + 1e-12
                                 for (cage, K), v in cells.items())
     ok = planned and contained and elapsed < 600.0
-    worst = max((v["max"] - cage for (cage, K), v in cells.items() if v),
+    worst = max((v["max_mm"] - cage for (cage, K), v in cells.items() if v),
                 default=float("inf"))
     _line(1, ok, f"16/16 cells planned={planned}, worst margin "
                  f"{-worst:.2f} mm, grid in {elapsed:.0f} s")
@@ -90,8 +68,9 @@ def test_criterion_01_push_containment(push_grid):
 def test_criterion_02_trend_reproduction(push_grid):
     cells = push_grid["cells"]
     assert all(v is not None for v in cells.values())
-    k_ok = all(cells[(c, 128)]["mae"] < cells[(c, 16)]["mae"] for c in CAGES)
-    cage_ok = all(cells[(40.0, K)]["mae"] > cells[(10.0, K)]["mae"] for K in KS)
+    cages, ks = {c for c, _ in cells}, {K for _, K in cells}
+    k_ok = all(cells[(c, 128)]["mae_mm"] < cells[(c, 16)]["mae_mm"] for c in cages)
+    cage_ok = all(cells[(40.0, K)]["mae_mm"] > cells[(10.0, K)]["mae_mm"] for K in ks)
     _line(2, k_ok and cage_ok,
           f"MAE(K=128)<MAE(K=16) at all cages: {k_ok}; "
           f"MAE(cage40)>MAE(cage10) at all K: {cage_ok}")
@@ -125,17 +104,13 @@ def test_criterion_03_peshkin_bound():
 
 
 def test_criterion_04_baseline_comparison():
-    prob = push_problem(20.0, 32)
+    prob = push_grid_problem(20.0, 32)
     traj = list(prob.trajectory)
     plan, result, _ = plan_push(prob, traj[0])
     assert result.success
-    caging_errs = []
-    for s in range(20):
-        rng = np.random.default_rng(2000 + s)
-        cfg = oracle.PushOracleConfig(seed=2000 + s)
-        pos, _ = oracle.rollout_push_plan(plan, prob, traj[0], cfg, rng)
-        caging_errs.extend((p - traj[i]).norm() for i, p in enumerate(pos))
-    caging_mae = float(np.mean(caging_errs))
+    runs = oracle.push_rollouts(plan, prob, traj[0], oracle.PushOracleConfig(seed=2000), 20)
+    caging_mae = float(np.mean([(p - traj[i]).norm()
+                                for pos, _ in runs for i, p in enumerate(pos)]))
 
     def p_mae(**kw):
         errs = []
@@ -166,13 +141,11 @@ def test_criterion_05_naive_pusher_failure():
     )
     plan, result, _ = plan_push(prob, traj[0])
     assert result.success
-    caging_worst = 0.0
+    runs = oracle.push_rollouts(plan, prob, traj[0], oracle.PushOracleConfig(seed=4000), 20)
+    caging_worst = max(max_err for _, max_err in runs)
     naive_losses = 0
     for s in range(20):
         cfg = oracle.PushOracleConfig(seed=4000 + s)
-        _, max_err = oracle.rollout_push_plan(
-            plan, prob, traj[0], cfg, np.random.default_rng(4000 + s))
-        caging_worst = max(caging_worst, max_err)
         _, _, lost_at = oracle.naive_tangent_rollout(
             prob, traj[0], cfg, np.random.default_rng(4000 + s))
         if lost_at is not None:
@@ -421,7 +394,7 @@ def test_criterion_11_square_plate_smoke():
 
 
 def test_criterion_12_step_performance():
-    prob = push_problem(20.0, 128)
+    prob = push_grid_problem(20.0, 128)
     t0 = time.time()
     plan, result, _ = plan_push(prob, prob.trajectory[0])
     push_ms = 1000.0 * (time.time() - t0) / (len(prob.trajectory) - 1)

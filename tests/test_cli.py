@@ -1,5 +1,6 @@
 """Command-line orchestration: configs, artifacts, exit codes, determinism."""
 
+import csv
 import json
 import os
 
@@ -236,6 +237,25 @@ class TestConfigValidation:
         assert capsys.readouterr().err.startswith("error: oracle_radius_mm")
         assert not out.exists()  # no plan that was never validated
 
+    @pytest.mark.parametrize("radius", [float("inf"), 1e9, 25.5])
+    def test_oracle_radius_above_object_radius(self, tmp_path, capsys, radius):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, "c.yaml", push_doc(str(out), oracle_radius_mm=radius))
+        assert cli.main(["push", "--config", path]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: oracle_radius_mm must not exceed object_radius_mm 25.0, got {radius}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("task, key, value", [("push", "lambda1", True),
+                                                  ("ball", "beta_max", "25.0")])
+    def test_non_numeric_real_rejected(self, tmp_path, capsys, task, key, value):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, "c.yaml", (push_doc if task == "push" else ball_doc)(
+            str(out), **{key: value}))
+        assert cli.main([task, "--config", path]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {key} must be a number, got {value!r}")
+        assert not out.exists()
+
 
 class TestPushCommand:
     def test_success_artifacts_and_exit_zero(self, tmp_path):
@@ -411,14 +431,54 @@ class TestSweepCommand:
         assert not out.exists()
 
 
+class TestPushGridSweep:
+    def grid_doc(self, out, **kw):
+        return {"task": "sweep", "circle_steps": {20: 120, 30: 120}, "K_grid": [16],
+                "rollouts": 100, "seed": 1000, "out": out, **kw}
+
+    def test_writes_the_runner_rows(self, tmp_path):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, "c.yaml", self.grid_doc(str(out)))
+        # --trials sets the rollouts per cell
+        assert cli.main(["sweep", "--config", path, "--trials", "2"]) == 0
+        with open(out / "sweep.csv", newline="") as fh:
+            written = list(csv.reader(fh))
+        header = ["cage", "K", "planned", "mae_mm", "max_mm", "contained"]
+        problems = oracle.push_grid_cells({20.0: 120, 30.0: 120}, [16])
+        rows = oracle.push_grid(problems, rollouts=2, seed=1000)
+        assert written == [header, *([str(r[k]) for k in header] for r in rows)]
+        assert [(r["cage"], r["K"], r["planned"]) for r in rows] == [(20.0, 16, True),
+                                                                      (30.0, 16, True)]
+
+    @pytest.mark.parametrize("fields", [
+        {"v0_grid": [0.8]},  # a catch grid field as well
+        {"circle_steps": None, "K_grid": None},  # neither kind
+        {"K_grid": [2]},  # a cell PushProblem rejects
+        {"circle_steps": [120]},  # not a mapping of cage size to steps
+        {"circle_steps": {"20": 120}},  # a cage size that is not a number
+    ])
+    def test_bad_grid_rejected_before_running(self, tmp_path, capsys, fields):
+        out = tmp_path / "out"
+        doc = self.grid_doc(str(out), **fields)
+        doc = {k: v for k, v in doc.items() if v is not None}
+        path = write_config(tmp_path, "c.yaml", doc)
+        assert cli.main(["sweep", "--config", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+        assert not out.exists()
+
+
 class TestRepoConfigs:
     def test_all_repo_configs_load(self):
         root = os.path.join(os.path.dirname(__file__), "..", "configs")
         builders = {"push": build_push, "ball": build_ball, "sweep": build_sweep}
+        loaded = []
         for name in sorted(os.listdir(root)):
             if name.endswith(".yaml"):
                 cfg = load_config(os.path.join(root, name))
                 builders[cfg.task](cfg)
+                loaded.append(name)
+        assert "push_grid.yaml" in loaded and "sweep.yaml" in loaded
 
 
 class TestPolylineFile:

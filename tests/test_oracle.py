@@ -49,6 +49,10 @@ class TestPushOracleConfig:
             with pytest.raises(ValueError):
                 oracle.PushOracleConfig(object_radius=radius)
 
+    def test_infinite_radius(self):
+        with pytest.raises(ValueError, match="oracle_radius_mm: object radius must be finite"):
+            oracle.PushOracleConfig(object_radius=float("inf"))
+
 
 class TestSimulatePush:
     def test_no_contact_is_noop(self):
