@@ -168,6 +168,9 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"error: {getattr(e, 'filename', '')}: {e}", file=sys.stderr)
         return 1
+    except MemoryError as e:
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

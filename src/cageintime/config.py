@@ -9,6 +9,7 @@ its check: a value the task rejects raises before anything is planned.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from functools import partial
@@ -72,6 +73,18 @@ def _real(key: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise BadSpec(f"{key} must be a number, got {value!r}")
     return float(value)
+
+
+def _finite(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
+
+
+def _grid(raw: dict, key: str, read: Callable = _real) -> list:
+    """A sweep grid: a nonempty list of finite numbers, each read by ``read``."""
+    values = raw.get(key)
+    if not (isinstance(values, list) and values and all(map(_finite, values))):
+        raise BadSpec(f"{key} must be a nonempty list of finite numbers, got {values!r}")
+    return [read(key, v) for v in values]
 
 
 def _given(raw: dict, keys: dict) -> dict:
@@ -214,20 +227,18 @@ def build_sweep(cfg: RunConfig) -> tuple[tuple[str, ...], list, Callable[[list],
     if len(kinds) != 1:
         raise BadSpec(f"a sweep sets exactly one kind of grid: the catch grids "
                       f"{', '.join(_CATCH_GRIDS)} or the push grid {', '.join(_PUSH_GRIDS)}")
-    for key in kinds[0]:
-        if not raw.get(key):
-            raise BadSpec(f"sweep requires nonempty {key}")
     if kinds[0] is _PUSH_GRIDS:
-        steps = raw["circle_steps"]
-        if not isinstance(steps, dict):
-            raise BadSpec(f"circle_steps must map cage sizes to waypoint counts, got {steps!r}")
+        steps = raw.get("circle_steps")
+        if not (isinstance(steps, dict) and steps and all(map(_finite, steps))):
+            raise BadSpec(f"circle_steps must map finite cage sizes to waypoint counts, "
+                          f"got {steps!r}")
         problems = oraclemod.push_grid_cells(
-            {_real("circle_steps cage size", c): _integer("circle_steps", n)
-             for c, n in steps.items()}, [_integer("K_grid", K) for K in raw["K_grid"]])
+            {float(c): _integer("circle_steps", n) for c, n in steps.items()},
+            _grid(raw, "K_grid", _integer))
         return oraclemod.PUSH_GRID_COLUMNS, problems, partial(
             oraclemod.push_grid, rollouts=_at_least_one(raw, "rollouts", 100), seed=cfg.seed)
     cells = oraclemod.sweep_cells(
-        *([_real(key, v) for v in raw[key]] for key in _CATCH_GRIDS),
+        *(_grid(raw, key) for key in _CATCH_GRIDS),
         trials=_at_least_one(raw, "trials", 100), seed=cfg.seed, horizon_s=_horizon_s(raw),
     )
     return oraclemod.SWEEP_COLUMNS, cells, oraclemod.sensitivity_sweep

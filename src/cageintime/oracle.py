@@ -90,14 +90,17 @@ def simulate_push(
     r = rng.random(1 + 2 * len(steps)).tolist()
     side = 1.0 if r[0] < 0.5 else -1.0
     lo, hi = cfg.c_range
+    span, a2, neg_a = hi - lo, a * a, -a
     beta = math.pi / 2.0
     u = 0.0  # along the push direction
     v = 0.0  # along the pusher segment
     s = 0.0
     for step, c_draw, frac in zip(steps, r[1::2], r[2::2]):
-        c = lo + (hi - lo) * c_draw  # rng.uniform(lo, hi)
-        dbeta = side * frac * peshkin_delta_beta(a, c, beta, step)
-        dv = -a * math.sin(beta) * dbeta
+        c = lo + span * c_draw  # rng.uniform(lo, hi)
+        sb = math.sin(beta)
+        # peshkin_delta_beta(a, c, beta, step), in its operation order
+        dbeta = side * frac * (c * sb / (a2 + c * c) * step)
+        dv = neg_a * sb * dbeta
         du = step + a * math.cos(beta) * dbeta
         # rigid quasi-static bound: the object cannot outrun the pusher
         mag = math.hypot(du, dv)

@@ -17,7 +17,6 @@ from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import ndimage
 
 from .core import (
     Action,
@@ -252,23 +251,50 @@ def propagate_pss(
     return PSSGrid(cells=cells, resolution=rho, frame_center=new_center)
 
 
+@functools.lru_cache(maxsize=None)
+def _disk_half_widths(rp: int) -> np.ndarray:
+    """isqrt(rp**2 - d**2) for d = -rp..rp: the half-width of each row of the
+    pixel disk of radius rp. Read-only, shared by every POA of that radius."""
+    hw = np.array([math.isqrt(rp * rp - d * d) for d in range(-rp, rp + 1)])
+    hw.setflags(write=False)
+    return hw
+
+
 def compute_poa(pss: PSSGrid, r: float) -> PSSGrid:
     """Workspace area possibly occupied by the object body: the occupancy
-    dilated by a disk of radius r (in pixels, ceil(r/rho))."""
-    if pss.is_empty:
-        return pss
-    rp = int(math.ceil(r / pss.resolution))
+    dilated by a disk of radius r (in pixels, rp = ceil(r/rho)). A cell is
+    in it exactly when an occupied cell lies within squared pixel distance
+    rp**2 of it."""
     h, w = pss.cells.shape
-    # nothing beyond the occupied box plus rp can lie within rp of a cell,
-    # and every cell nearest to a point inside it lies inside it
-    rows = np.flatnonzero(pss.cells.any(axis=1))
-    cols = np.flatnonzero(pss.cells.any(axis=0))
-    i0, i1 = max(rows[0] - rp, 0), min(rows[-1] + rp + 1, h)
-    j0, j1 = max(cols[0] - rp, 0), min(cols[-1] + rp + 1, w)
-    # disk dilation via the exact Euclidean distance transform (much faster
-    # than morphological dilation with a large disk element)
+    flat = np.flatnonzero(pss.cells)
+    if flat.size == 0:
+        return pss
+    # a disk wider than the window's diagonal covers the window from any
+    # cell, so capping rp there bounds every buffer by a few windows
+    rp = min(int(math.ceil(r / pss.resolution)), h + w)
+    ii, jj = np.divmod(flat, w)
+    # row runs [s, e) of occupied cells: a cell starts one unless its left
+    # neighbour is occupied
+    first = np.flatnonzero((np.diff(flat, prepend=-2) != 1) | (jj == 0))
+    last = np.append(first[1:], flat.size) - 1
+    ri, s, e = ii[first], jj[first], jj[last] + 1
+    # the run [s, e) on row i covers [s - hw, e + hw) of row i + d: mark both
+    # ends in a difference array on the occupied box padded by rp (and one
+    # column for the last end), then sum along the rows
+    hw = _disk_half_widths(rp)
+    top, left = ii[0] - rp, int(jj.min()) - rp
+    bottom, right = ii[-1] + rp + 1, int(jj.max()) + rp + 1
+    fw = right - left + 1
+    base = ((ri - ii[0])[:, None] + np.arange(2 * rp + 1)) * fw - left
+    n = (bottom - top) * fw
+    diff = (np.bincount((base + (s[:, None] - hw)).ravel(), minlength=n)
+            - np.bincount((base + (e[:, None] + hw)).ravel(), minlength=n))
+    cover = np.cumsum(diff.reshape(-1, fw), axis=1) > 0
+    # the padded box, clipped to the window
+    i0, i1 = max(top, 0), min(bottom, h)
+    j0, j1 = max(left, 0), min(right, w)
     dil = np.zeros((h, w), dtype=bool)
-    dil[i0:i1, j0:j1] = ndimage.distance_transform_edt(~pss.cells[i0:i1, j0:j1]) <= rp
+    dil[i0:i1, j0:j1] = cover[i0 - top : i1 - top, j0 - left : j1 - left]
     return PSSGrid(cells=dil, resolution=pss.resolution, frame_center=pss.frame_center)
 
 

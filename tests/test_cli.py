@@ -3,12 +3,14 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import yaml
 
-from cageintime import ball, cli
+from cageintime import ball, cli, config
 from cageintime import oracle
 from cageintime.config import build_ball, build_push, build_sweep, load_config
 
@@ -256,6 +258,28 @@ class TestConfigValidation:
         assert capsys.readouterr().err.startswith(f"error: {key} must be a number, got {value!r}")
         assert not out.exists()
 
+    def test_unallocatable_push_grid_rejected(self, tmp_path, capsys):
+        # a 2e9-pixel square grid: numpy refuses its 3.47 EiB at once
+        out = tmp_path / "out"
+        path = write_config(tmp_path, "c.yaml", push_doc(str(out), d_push_mm=1.0e9))
+        assert cli.main(["push", "--config", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: Unable to allocate") and captured.out == ""
+        assert not out.exists()
+
+    def test_unallocatable_ball_path_rejected(self, tmp_path, capsys, monkeypatch):
+        # the path of a 1e9 s horizon, without allocating it
+        def unallocatable(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(config, "ball_trajectory", unallocatable)
+        out = tmp_path / "out"
+        doc = ball_doc(str(out), trajectory={"kind": "stationary", "horizon_s": 1.0e9})
+        path = write_config(tmp_path, "c.yaml", doc)
+        assert cli.main(["ball", "--config", path]) == 1
+        assert capsys.readouterr().err == "error: out of memory\n"
+        assert not out.exists()
+
 
 class TestPushCommand:
     def test_success_artifacts_and_exit_zero(self, tmp_path):
@@ -431,6 +455,24 @@ class TestSweepCommand:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("key, value", [
+        ("K_grid", 16), ("v0_grid", 0.8), ("v0_grid", [float("nan")]),
+        ("dv0_grid", [float("nan")]),
+    ])
+    def test_grid_of_non_numbers_names_its_field(self, tmp_path, capsys, key, value):
+        out = tmp_path / "out"
+        grids = ({"circle_steps": {20: 120}, "K_grid": [16]} if key == "K_grid"
+                 else {"v0_grid": [0.8], "dv0_grid": [0.05], "beta_grid": [5.0]})
+        doc = {"task": "sweep", **grids, key: value, "trials": 1, "out": str(out)}
+        path = write_config(tmp_path, "c.yaml", doc)
+        assert cli.main(["sweep", "--config", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f"error: {key} must be a nonempty list of finite numbers, got {value!r}")
+        assert captured.out == ""
+        assert not out.exists()
+
+
 class TestPushGridSweep:
     def grid_doc(self, out, **kw):
         return {"task": "sweep", "circle_steps": {20: 120, 30: 120}, "K_grid": [16],
@@ -456,6 +498,8 @@ class TestPushGridSweep:
         {"K_grid": [2]},  # a cell PushProblem rejects
         {"circle_steps": [120]},  # not a mapping of cage size to steps
         {"circle_steps": {"20": 120}},  # a cage size that is not a number
+        {"circle_steps": {float("nan"): 120}},  # a cage size that is not finite
+        {"circle_steps": {}},  # no cage size
     ])
     def test_bad_grid_rejected_before_running(self, tmp_path, capsys, fields):
         out = tmp_path / "out"
@@ -466,6 +510,17 @@ class TestPushGridSweep:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.out == ""
         assert not out.exists()
+
+
+def test_no_scipy_at_import():
+    """The package runs on numpy and pyyaml alone; scipy is a test dependency.
+    In a fresh interpreter, since this one has the test helpers' scipy."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    code = ("import sys, cageintime, cageintime.cli; "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
 
 
 class TestRepoConfigs:

@@ -35,6 +35,7 @@ from cageintime import oracle
 from cageintime import push as push_module
 from cageintime.config import build_push, load_config
 from cageintime.trajectories import as_vec2_list, circle
+import edt_poa
 import scalar_propagate
 import scalar_score
 from motion_set import SemiEllipseMotionSet, motion_set
@@ -229,6 +230,47 @@ class TestPOA:
         g = PSSGrid(cells, 1.0, Vec2(0.0, 0.0))
         poa = compute_poa(g, r)
         assert np.array_equal(poa.cells, brute_force_dilation(cells, int(math.ceil(r))))
+
+    # both shipped push configs, a finer grid, and a radius of 24.3 pixels
+    @pytest.mark.parametrize("name, fields, calls", [
+        ("push_circle.yaml", {}, 118),
+        ("push_lemniscate.yaml", {}, 160),
+        ("push_circle.yaml", {"resolution_mm": 0.5}, 118),
+        ("push_lemniscate.yaml", {"object_radius_mm": 24.3}, 160),
+    ])
+    def test_matches_edt_on_every_planner_call(self, monkeypatch, name, fields, calls):
+        seen = []
+
+        def checked(pss, r):
+            poa = compute_poa(pss, r)
+            seen.append(np.array_equal(poa.cells, edt_poa.compute_poa(pss, r).cells))
+            return poa
+
+        monkeypatch.setattr(push_module, "compute_poa", checked)
+        cfg = load_config(os.path.join(CONFIGS, name))
+        cfg.raw.update(fields)
+        problem, start, _, _ = build_push(cfg)
+        plan_push(problem, start)
+        assert len(seen) == calls and all(seen)
+
+    # one corner cell: disks that reach the far edges but not the far
+    # corner, and disks wider than the window
+    @pytest.mark.parametrize("r", [35.0, 41.5, 60.0, 1e9])
+    def test_disk_wider_than_the_window(self, r):
+        cells = np.zeros((30, 30), dtype=bool)
+        cells[0, 0] = True
+        g = PSSGrid(cells, 1.0, Vec2(0.0, 0.0))
+        assert np.array_equal(compute_poa(g, r).cells, edt_poa.compute_poa(g, r).cells)
+
+    def test_matches_edt_on_random_grids(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            h, w = rng.integers(1, 40, 2).tolist()
+            cells = rng.random((h, w)) < rng.choice([0.01, 0.1, 0.5, 0.95])
+            cells[rng.integers(h), rng.integers(w)] = True
+            g = PSSGrid(cells, float(rng.choice([0.5, 0.7, 1.0])), Vec2(0.0, 0.0))
+            r = float(rng.uniform(0.0, 40.0))
+            assert np.array_equal(compute_poa(g, r).cells, edt_poa.compute_poa(g, r).cells)
 
 
 def angles(K: int) -> np.ndarray:
