@@ -481,11 +481,12 @@ def ball_step(
     model: EnergyModel,
     dt: float,
 ) -> tuple[ProbGrid, PlateState, dict]:
-    """The ball step kernel of the planner, its Lie-derivative probes, the
-    verifier replay and the renderer: advance the plate's tilt by the rate u
-    over dt, holding its acceleration, propagate the belief under the new
-    plate, and check the worst supported energy against the escape level.
-    Returns the new belief, the new plate and a record of these cage terms.
+    """The ball step kernel of the planner, its Lie-derivative probes and
+    ``replay`` (so of the verifier and the renderer): advance the plate's
+    tilt by the rate u over dt, holding its acceleration, propagate the
+    belief under the new plate, and check the worst supported energy against
+    the escape level. Returns the new belief, the new plate and a record of
+    these cage terms.
     """
     plate = replace(plate, tilt=plate.tilt + np.asarray(u, dtype=float) * dt)
     grid, lost = propagate_prob(grid, plate, ball, unc, dt)
@@ -701,44 +702,51 @@ def catching_setup(
     )
 
 
-def verify_ball_plan(
-    initial: ProbGrid,
-    actions: Sequence[TiltRate],
-    trajectory: np.ndarray,
-    ball: BallParams,
-    unc: UncertaintyModel,
-    model: EnergyModel,
-    params: ControlParams,
-    initial_tilt: np.ndarray,
-) -> VerificationResult:
-    """Replay a tilt-rate plan through the generic verification driver,
-    stepping with ``ball_step`` under the planner's ``rate_bounds``: a rate
-    outside them is ``InfeasibleAction`` and a step that loses all the
-    belief mass is ``AllMassLost``, as in ``dynamic_control``. A plan
-    shorter than the path replays as its prefix, as a failed plan of the
-    planner does; a longer one raises ValueError."""
+def replay(initial: ProbGrid, plan: Sequence[TiltRate], accels: np.ndarray, ball: BallParams,
+           unc: UncertaintyModel, model: EnergyModel, params: ControlParams,
+           initial_tilt: np.ndarray):
+    """The ball replay of the verifier and the renderer: a generator of
+    ``(grid, plate, record, failure)`` per step of ``plan``, stepping step t
+    with ``ball_step`` under the plate acceleration ``accels[t]``, as
+    ``dynamic_control`` does. A rate outside the planner's ``rate_bounds``
+    (with 1e-9 slack) is ``InfeasibleAction`` and a step that loses all the
+    belief mass is ``AllMassLost``: either yields the state it stepped from,
+    with no record, and ends the replay. A step that leaves the cage is
+    ``EscapedCage``; otherwise ``failure`` is None."""
+    grid = initial
+    plate = PlateState(initial.n, initial.x_max, initial_tilt, accels[0])
+    prev_u = np.zeros(initial.n)
+    for t, action in enumerate(plan):
+        u = np.asarray(action.dtheta, dtype=float)
+        lo, hi = rate_bounds(plate.tilt, prev_u, params)
+        if np.any(u < lo - 1e-9) or np.any(u > hi + 1e-9):
+            yield grid, plate, None, FailureReason.InfeasibleAction
+            return
+        try:
+            grid, plate, record = ball_step(grid, replace(plate, accel=accels[t]), u, ball,
+                                            unc, model, params.dt)
+        except AllMassLost:
+            yield grid, plate, None, FailureReason.AllMassLost
+            return
+        yield grid, plate, record, None if record["contained"] else FailureReason.EscapedCage
+        prev_u = u
+
+
+def verify_ball_plan(initial: ProbGrid, actions: Sequence[TiltRate], trajectory: np.ndarray,
+                     ball: BallParams, unc: UncertaintyModel, model: EnergyModel,
+                     params: ControlParams, initial_tilt: np.ndarray) -> VerificationResult:
+    """Independent replay of a tilt-rate plan: the generic verification
+    driver folds the failures of ``replay``, with the rules of
+    ``dynamic_control``. A plan shorter than the path replays as its prefix,
+    as a failed plan of the planner does; a longer one raises ValueError."""
     from .core import verify_caging_in_time
 
-    n = initial.n
     traj = np.atleast_2d(np.asarray(trajectory, dtype=float))
     if len(actions) > len(traj) - 1:
         raise ValueError(f"plan of {len(actions)} steps is longer than "
                          f"its {len(traj) - 1}-step path")
-    accels = trajectory_accels(traj, params.dt)
-    plate0 = PlateState(n, initial.x_max, initial_tilt, accels[0])
-
-    def step(state, action, t):
-        grid, plate, prev_u = state
-        u = np.asarray(action.dtheta, dtype=float)
-        lo, hi = rate_bounds(plate.tilt, prev_u, params)
-        if np.any(u < lo - 1e-9) or np.any(u > hi + 1e-9):
-            return state, FailureReason.InfeasibleAction
-        # known defect: the planner steps under accels[t]; the benchmark pins this verdict
-        plate = replace(plate, accel=accels[t + 1])
-        try:
-            grid, plate, record = ball_step(grid, plate, u, ball, unc, model, params.dt)
-        except AllMassLost:
-            return state, FailureReason.AllMassLost
-        return (grid, plate, u), None if record["contained"] else FailureReason.EscapedCage
-
-    return verify_caging_in_time((initial, plate0, np.zeros(n)), actions, step)
+    # known defect: step t under accels[t + 1], one step ahead of the
+    # planner's accels[t]; the benchmark pins the verdict this gives
+    accels = trajectory_accels(traj, params.dt)[1:]
+    return verify_caging_in_time(f for *_, f in replay(
+        initial, actions, accels, ball, unc, model, params, initial_tilt))

@@ -11,14 +11,13 @@ import csv
 import json
 import os
 import sys
-from dataclasses import replace
 from typing import Callable
 
 from . import ball as ballmod
 from . import oracle as oraclemod
 from .config import BadSpec, RunConfig, build_ball, build_push, build_sweep, load_config
 from .core import CageCircle, PushAngle, action_to_json
-from .push import initial_set, plan_push, push_step, pusher_pose
+from .push import plan_push, pusher_pose, replay
 from .render import render_prob_frame, render_push_frame
 
 
@@ -63,9 +62,7 @@ def _push_run(cfg: RunConfig) -> Callable[[], int]:
     problem, start, rollouts, ocfg = build_push(cfg)
 
     def frames(plan):
-        pss = initial_set(problem, start)
-        for t, action in enumerate(plan):
-            pss, _ = push_step(problem, pss, action, t)
+        for t, (action, (pss, _, _)) in enumerate(zip(plan, replay(problem, start, plan))):
             target = problem.trajectory[t + 1]
             pose = (pusher_pose(target, problem.R, action.theta, problem.pusher_length / 2.0)
                     if isinstance(action, PushAngle) else None)
@@ -89,12 +86,8 @@ def _ball_run(cfg: RunConfig) -> Callable[[], int]:
     def frames(plan):
         """Replay the plan under the planner's plate accelerations."""
         accels = ballmod.trajectory_accels(traj, setup.params.dt)
-        grid = setup.grid
-        plate = ballmod.PlateState(grid.n, grid.x_max, setup.initial_tilt, accels[0])
-        for t, action in enumerate(plan):
-            plate = replace(plate, accel=accels[t])
-            grid, plate, _ = ballmod.ball_step(grid, plate, action.dtheta, setup.ball, setup.unc,
-                                               setup.model, setup.params.dt)
+        for grid, _, _, _ in ballmod.replay(setup.grid, plan, accels, setup.ball, setup.unc,
+                                            setup.model, setup.params, setup.initial_tilt):
             yield render_prob_frame(grid)
 
     def oracle(plan):

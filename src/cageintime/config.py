@@ -61,22 +61,32 @@ def load_config(path: str, seed: Optional[int] = None,
 
 
 def _integer(key: str, value) -> int:
-    """An integer config value: an int or an integral float, never a bool."""
+    """An integer config value that fits 64 bits: an int or an integral float, never a bool."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or (
             isinstance(value, float) and not value.is_integer()):
         raise BadSpec(f"{key} must be an integer, got {value!r}")
-    return int(value)
+    value = int(value)
+    if not -2**63 <= value < 2**63:
+        raise BadSpec(f"{key} does not fit a 64-bit integer")
+    return value
 
 
 def _real(key: str, value) -> float:
-    """A real config value: an int or a float, never a bool or a string."""
+    """A real config value: an int or a float that fits a float, never a bool or a string."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise BadSpec(f"{key} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise BadSpec(f"{key} does not fit a float") from None
 
 
 def _finite(value) -> bool:
-    return not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
+    try:
+        return (not isinstance(value, bool) and isinstance(value, (int, float))
+                and math.isfinite(value))
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 def _grid(raw: dict, key: str, read: Callable = _real) -> list:

@@ -1,7 +1,7 @@
 """Shared state-space data model and the generic cage verification driver.
 
-The driver is parameterized by a task's step, so the same fold serves both
-the quasi-static pushing task and the dynamic ball-on-plate task.
+The driver folds the per-step failures of a task's replay, so the same fold
+serves both the quasi-static pushing task and the dynamic ball-on-plate task.
 """
 
 from __future__ import annotations
@@ -10,13 +10,9 @@ import enum
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
-
-
-class EmptyInitialPSS(ValueError):
-    """The initial potential state set has no support."""
 
 
 class EmptyResult(RuntimeError):
@@ -227,23 +223,15 @@ def action_to_json(action: Action) -> Optional[dict]:
 # --- operations ------------------------------------------------------------
 
 
-def verify_caging_in_time(
-    initial,
-    actions: Sequence[Action],
-    step: Callable[[object, Action, int], tuple[object, Optional[FailureReason]]],
-) -> VerificationResult:
-    """Verify that an open-loop action sequence keeps the state set caged.
+def verify_caging_in_time(failures: Iterable[Optional[FailureReason]]) -> VerificationResult:
+    """Verify that an open-loop plan keeps the state set caged.
 
-    The task's ``step(state, action, t)`` applies the rules its planner
-    applies and returns the propagated state and that step's failure, or
-    None when the action is feasible and the state lies in the cage at
-    t + 1. Returns the first failure, if any. Inputs are never mutated.
+    ``failures`` holds, step by step, the failure of a task's replay (its
+    ``replay`` generator applies the rules its planner applies), or None when
+    the action is feasible and the state lies in the cage at t + 1. Returns
+    the first failure, if any, and reads no step past it.
     """
-    if getattr(initial, "is_empty", False):
-        raise EmptyInitialPSS("initial PSS has no support")
-    state = initial
-    for t, action in enumerate(actions):
-        state, failure = step(state, action, t)
+    for t, failure in enumerate(failures):
         if failure is not None:
             return VerificationResult(False, t, failure)
     return VerificationResult(True)

@@ -46,7 +46,7 @@ def simulate_push(
     pose: PusherPose,
     d_push: float,
     cfg: PushOracleConfig,
-    rng: Optional[np.random.Generator] = None,
+    rng: np.random.Generator,
 ) -> Vec2:
     """Ground-truth displacement of one push.
 
@@ -65,8 +65,6 @@ def simulate_push(
     rotation fraction. That is the stream of one scalar draw per number, so
     a rollout keeps one generator for all its pushes.
     """
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
     a = cfg.object_radius
     d = pose.direction
     tx, ty = -d.y, d.x  # pose.tangent
@@ -127,15 +125,13 @@ def rollout_push_plan(
     problem: PushProblem,
     q0: Vec2,
     cfg: PushOracleConfig,
-    rng: Optional[np.random.Generator] = None,
+    rng: np.random.Generator,
 ) -> tuple[list[Vec2], float]:
     """Execute an open-loop push plan against the ground-truth simulator.
 
     Returns the object position after every step and the maximum distance
     to the reference waypoint.
     """
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
     q = q0
     positions = [q]
     max_err = (q - problem.trajectory[0]).norm()
@@ -165,7 +161,7 @@ def naive_tangent_rollout(
     problem: PushProblem,
     q0: Vec2,
     cfg: PushOracleConfig,
-    rng: Optional[np.random.Generator] = None,
+    rng: np.random.Generator,
 ) -> tuple[list[Vec2], float, Optional[int]]:
     """Baseline pusher that follows the trajectory with its push direction
     parallel to the direction of travel, pushing blindly each step.
@@ -173,8 +169,6 @@ def naive_tangent_rollout(
     Returns positions, the max tracking error, and the first step at which
     the error exceeded the cage size (None if it never did).
     """
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
     q = q0
     positions = [q]
     max_err = (q - problem.trajectory[0]).norm()

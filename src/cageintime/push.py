@@ -456,9 +456,10 @@ def initial_set(problem: PushProblem, initial_position: Vec2) -> PSSGrid:
 def push_step(
     problem: PushProblem, pss: PSSGrid, action: Action, t: int
 ) -> tuple[PSSGrid, dict]:
-    """The pushing step kernel of the planner, the verifier replay and the
-    renderer: propagate the PSS under ``action`` to the cage at waypoint
-    t + 1, check it against the planning cage, and return the runlog record.
+    """The pushing step kernel of the planner and of ``replay`` (so of the
+    verifier and the renderer): propagate the PSS under ``action`` to the
+    cage at waypoint t + 1, check it against the planning cage, and return
+    the runlog record.
     """
     target = problem.trajectory[t + 1]
     theta = action.theta if isinstance(action, PushAngle) else None
@@ -501,22 +502,28 @@ def plan_push(
     return tuple(steps), result, log
 
 
-def verify_push_plan(
-    problem: PushProblem,
-    initial_position: Vec2,
-    actions: Sequence[Action],
-) -> VerificationResult:
-    """Independent replay of a plan through the generic verification driver,
-    rejecting the problems ``plan_push`` rejects. A plan shorter than the
-    path replays as its prefix, as a failed plan of the planner does; a
-    longer one raises ValueError."""
+def replay(problem: PushProblem, initial_position: Vec2, plan: Sequence[Action]):
+    """The pushing replay of the verifier and the renderer: a generator of
+    ``(pss, record, failure)`` per step of ``plan``, stepped by ``push_step``,
+    where ``failure`` is ``EscapedCage`` when the set leaves the planning
+    cage and None otherwise. When called, it rejects the problems
+    ``plan_push`` rejects and a plan longer than the path; a shorter plan
+    replays as its prefix, as a failed plan of the planner does."""
     checked_spacing(problem, initial_position)
-    if len(actions) > len(problem.trajectory) - 1:
-        raise ValueError(f"plan of {len(actions)} steps is longer than "
+    if len(plan) > len(problem.trajectory) - 1:
+        raise ValueError(f"plan of {len(plan)} steps is longer than "
                          f"its {len(problem.trajectory) - 1}-step path")
 
-    def step(pss, action, t):
-        pss, record = push_step(problem, pss, action, t)
-        return pss, None if record["contained"] else FailureReason.EscapedCage
+    def steps(pss):
+        for t, action in enumerate(plan):
+            pss, record = push_step(problem, pss, action, t)
+            yield pss, record, None if record["contained"] else FailureReason.EscapedCage
 
-    return verify_caging_in_time(initial_set(problem, initial_position), actions, step)
+    return steps(initial_set(problem, initial_position))
+
+
+def verify_push_plan(problem: PushProblem, initial_position: Vec2,
+                     actions: Sequence[Action]) -> VerificationResult:
+    """Independent replay of a plan: the generic verification driver folds
+    the failures of ``replay``."""
+    return verify_caging_in_time(f for _, _, f in replay(problem, initial_position, actions))

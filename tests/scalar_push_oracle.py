@@ -12,7 +12,6 @@ included.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
 
@@ -26,11 +25,9 @@ def simulate_push(
     pose: PusherPose,
     d_push: float,
     cfg: PushOracleConfig,
-    rng: Optional[np.random.Generator] = None,
+    rng: np.random.Generator,
 ) -> Vec2:
     """Ground-truth displacement of one push, two draws per micro-step."""
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
     a = cfg.object_radius
     dist0 = float(segment_distance(q0.as_array()[None, :], pose)[0])
     s0 = max(0.0, dist0 - a)

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cageintime import ball as B
-from cageintime.core import FailureReason, TiltRate, VerificationResult
+from cageintime.core import (FailureReason, TiltRate, VerificationResult,
+                             verify_caging_in_time)
 
 import dense_belief as D
 from scalar_oracle import exact_accel
@@ -526,24 +527,15 @@ class TestDynamicControl:
         assert all(r["contained"] for r in log.records)
         assert all(r["max_E"] < r["E_max"] for r in log.records)
 
-    def test_replay_through_verifier(self):
-        setup = B.balancing_setup()
-        traj = np.zeros((51, 2))
-        plan, result, _ = B.dynamic_control(
-            setup.grid, traj, setup.ball, setup.unc, setup.model,
-            setup.params, setup.initial_tilt)
+    def test_replay_through_verifier(self, balance_run):
+        setup, traj, plan, result, _ = balance_run
         assert result.success
-        replay = B.verify_ball_plan(setup.grid, plan, traj, setup.ball,
-                                    setup.unc, setup.model, setup.params,
-                                    setup.initial_tilt)
-        assert replay.success
+        assert _verified(setup, plan, traj).success
 
     def test_replay_applies_tilt_range_fold(self):
         # from 1.565 rad, past tilt_max, the planner's rule admits no positive rate
         setup = B.balancing_setup()
-        replay = B.verify_ball_plan(setup.grid, [TiltRate.of([0.5])], np.zeros((2, 2)),
-                                    setup.ball, setup.unc, setup.model, setup.params,
-                                    np.array([1.565]))
+        replay = _verified(setup, [TiltRate.of([0.5])], np.zeros((2, 2)), np.array([1.565]))
         assert replay == VerificationResult(False, 0, FailureReason.InfeasibleAction)
 
     def test_replay_reports_all_mass_lost(self):
@@ -551,38 +543,30 @@ class TestDynamicControl:
         # 0.02 m/s velocity box
         setup = B.balancing_setup(v_max=0.02)
         plan = [TiltRate.of([0.5 * (t + 1)]) for t in range(8)]
-        replay = B.verify_ball_plan(setup.grid, plan, np.zeros((9, 2)), setup.ball,
-                                    setup.unc, setup.model, setup.params, setup.initial_tilt)
+        replay = _verified(setup, plan, np.zeros((9, 2)))
         assert not replay.success
         assert replay.failure_reason is FailureReason.AllMassLost
 
     def test_replay_rejects_a_plan_longer_than_its_path(self):
         setup = B.balancing_setup()
-        rest = (setup.ball, setup.unc, setup.model, setup.params, setup.initial_tilt)
         zero = TiltRate.of([0.0])
         with pytest.raises(ValueError, match="plan of 10 steps is longer than its 1-step path"):
-            B.verify_ball_plan(setup.grid, [zero] * 10, np.zeros((2, 2)), *rest)
+            _verified(setup, [zero] * 10, np.zeros((2, 2)))
         # a shorter plan, such as a failed plan of the planner, replays as its prefix
-        assert B.verify_ball_plan(setup.grid, [zero], np.zeros((11, 2)), *rest).success
+        assert _verified(setup, [zero], np.zeros((11, 2))).success
 
     def test_wide_velocity_spread_infeasible_at_low_slew(self):
         setup = B.catching_setup(0.8, 0.5, beta_max=5.0)
-        plan, result, _ = B.dynamic_control(
-            setup.grid, setup.trajectory(3.0), setup.ball, setup.unc,
-            setup.model, setup.params, setup.initial_tilt)
+        _, traj, plan, result, _ = _planned(setup, setup.trajectory(3.0))
         assert not result.success
         assert result.failure_reason is FailureReason.InfeasibleAction
         # the plan ends before the failing step and replays as planned
         assert len(plan) == result.failure_step
-        replay = B.verify_ball_plan(setup.grid, plan, setup.trajectory(3.0), setup.ball,
-                                    setup.unc, setup.model, setup.params, setup.initial_tilt)
-        assert replay.success
+        assert _verified(setup, plan, traj).success
 
     def test_zero_slew_bound_fails_immediately(self):
         setup = B.catching_setup(0.8, 0.05, beta_max=0.0)
-        plan, result, _ = B.dynamic_control(
-            setup.grid, setup.trajectory(3.0), setup.ball, setup.unc,
-            setup.model, setup.params, setup.initial_tilt)
+        *_, result, _ = _planned(setup, setup.trajectory(3.0))
         assert not result.success
         assert result.failure_step == 0
 
@@ -605,34 +589,53 @@ def _planned(setup, traj):
     return setup, traj, plan, result, log
 
 
+def _verified(setup, plan, traj, initial_tilt=None):
+    tilt = setup.initial_tilt if initial_tilt is None else initial_tilt
+    return B.verify_ball_plan(setup.grid, plan, traj, setup.ball, setup.unc, setup.model,
+                              setup.params, tilt)
+
+
 @pytest.fixture(scope="module")
 def catch_run():
     setup = B.catching_setup(0.8, 0.05)
     return _planned(setup, setup.trajectory(3.0))
 
 
+@pytest.fixture(scope="module")
+def balance_run():
+    return _planned(B.balancing_setup(), np.zeros((51, 2)))
+
+
+def _replay(setup, traj, plan):
+    """The ball replay of a plan under the planner's schedule accels[t]."""
+    accels = B.trajectory_accels(traj, setup.params.dt)
+    return accels, B.replay(setup.grid, plan, accels, setup.ball, setup.unc, setup.model,
+                            setup.params, setup.initial_tilt)
+
+
 class TestStepKernel:
     @pytest.mark.parametrize("task", ["balance", "catch"])
-    def test_kernel_replay_reproduces_runlog(self, task, catch_run):
-        if task == "balance":
-            setup, traj, plan, result, log = _planned(B.balancing_setup(), np.zeros((51, 2)))
-            assert len(plan) == 50
-        else:
-            setup, traj, plan, result, log = catch_run
-            assert any(a.dtheta != (0.0,) for a in plan)
+    def test_kernel_replay_reproduces_runlog(self, task, balance_run, catch_run):
+        setup, traj, plan, result, log = balance_run if task == "balance" else catch_run
+        assert (len(plan) == 50) if task == "balance" else any(a.dtheta != (0.0,) for a in plan)
         assert result.success
-        accels = B.trajectory_accels(traj, setup.params.dt)
-        grid = setup.grid
-        plate = B.PlateState(1, grid.x_max, setup.initial_tilt, accels[0])
-        for t, (action, rec) in enumerate(zip(plan, log.records)):
-            # the planner's schedule: step t under accels[t]
-            grid, plate, step_rec = B.ball_step(
-                grid, replace(plate, accel=accels[t]), action.dtheta, setup.ball,
-                setup.unc, setup.model, setup.params.dt)
+        accels, steps = _replay(setup, traj, plan)
+        for t, ((grid, plate, step_rec, failure), rec) in enumerate(
+                zip(steps, log.records, strict=True)):
+            assert failure is None
             assert step_rec == {key: rec[key] for key in step_rec}
             assert plate.tilt.tolist() == rec["tilt"]
             assert np.array_equal(plate.accel, accels[t])
             assert int(np.count_nonzero(grid.values)) == rec["pss_cells"]
+
+    @pytest.mark.parametrize("task", ["balance", "catch"])
+    def test_replay_under_planner_schedule_gives_planner_verdict(
+            self, task, balance_run, catch_run):
+        # the catch defect lies only in verify_ball_plan's shifted schedule:
+        # the same replay under accels[t] agrees with the planner
+        setup, traj, plan, result, _ = balance_run if task == "balance" else catch_run
+        _, steps = _replay(setup, traj, plan)
+        assert verify_caging_in_time(f for *_, f in steps) == result
 
     @pytest.mark.xfail(
         strict=True,

@@ -2,7 +2,7 @@
 
 Each shipped line-plate task (configs/ball_lemniscate.yaml, the figure-eight
 balance, and configs/ball_catch.yaml) is planned, and its belief is replayed
-through ball_step under the planner's plate accelerations accels[t], as the
+by ball.replay under the planner's plate accelerations accels[t], as the
 --render frames are. Both checks fail today: the certified belief does not
 follow the exact dynamics. Each is a strict xfail whose marker holds the
 measured first miss and miss count, to be removed once the belief contains
@@ -10,7 +10,6 @@ the ball.
 """
 
 import os
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,14 +36,9 @@ def ball_task(request):
         setup.grid, traj, setup.ball, setup.unc, setup.model, setup.params, setup.initial_tilt)
     assert result.success and len(plan) >= 50
     accels = B.trajectory_accels(traj, setup.params.dt)
-    grid = setup.grid
-    plate = B.PlateState(grid.n, grid.x_max, setup.initial_tilt, accels[0])
-    beliefs = [grid]
-    for t, action in enumerate(plan):
-        plate = replace(plate, accel=accels[t])
-        grid, plate, _ = B.ball_step(grid, plate, action.dtheta, setup.ball, setup.unc,
-                                     setup.model, setup.params.dt)
-        beliefs.append(grid)
+    beliefs = [setup.grid, *(grid for grid, *_ in B.replay(
+        setup.grid, plan, accels, setup.ball, setup.unc, setup.model, setup.params,
+        setup.initial_tilt))]
     return setup, traj, plan, beliefs
 
 

@@ -48,3 +48,5 @@ def test_plans_match_reference(workload):
         ref = reference[task.name]
         assert task.same_plan(task.record(plan), ref["plan"]), task.name
         assert tasks._verdict(verdict) == ref["planner"], task.name
+        # the replay verdicts are pinned too, the catch's known false escape included
+        assert tasks._verdict(task.replay(plan)) == ref["replay"], task.name

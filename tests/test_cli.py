@@ -258,6 +258,18 @@ class TestConfigValidation:
         assert capsys.readouterr().err.startswith(f"error: {key} must be a number, got {value!r}")
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("d_push_mm", 10**400, "d_push_mm does not fit a float"),
+        ("K", 10**400, "K does not fit a 64-bit integer"),
+        ("K", 2**63, "K does not fit a 64-bit integer"),
+    ])
+    def test_number_too_large_rejected(self, tmp_path, capsys, key, value, message):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, "c.yaml", push_doc(str(out), **{key: value}))
+        assert cli.main(["push", "--config", path]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
     def test_unallocatable_push_grid_rejected(self, tmp_path, capsys):
         # a 2e9-pixel square grid: numpy refuses its 3.47 EiB at once
         out = tmp_path / "out"
@@ -457,7 +469,7 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("key, value", [
         ("K_grid", 16), ("v0_grid", 0.8), ("v0_grid", [float("nan")]),
-        ("dv0_grid", [float("nan")]),
+        ("dv0_grid", [float("nan")]), ("v0_grid", [10**400]),
     ])
     def test_grid_of_non_numbers_names_its_field(self, tmp_path, capsys, key, value):
         out = tmp_path / "out"

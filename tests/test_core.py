@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from cageintime.core import (
     CageCircle,
-    EmptyInitialPSS,
     FailureReason,
     NoAction,
     PSSGrid,
@@ -141,58 +140,49 @@ class TestContainsGeometric:
         assert contains_geometric(g, cage) == contains_geometric(g2, cage2)
 
 
-def caged_step(cage, propagate=lambda pss, a, t: pss):
-    """A step from a propagation and a fixed geometric cage."""
-
-    def step(pss, action, t):
-        pss = propagate(pss, action, t)
-        return pss, None if contains_geometric(pss, cage) else FailureReason.EscapedCage
-
-    return step
+def caged_failures(g, cage, steps, propagate=lambda pss: pss):
+    """The per-step failures of a propagation against a fixed geometric cage."""
+    for _ in range(steps):
+        g = propagate(g)
+        yield None if contains_geometric(g, cage) else FailureReason.EscapedCage
 
 
 class TestVerifyCagingInTime:
     @staticmethod
-    def _run(seq):
+    def _run(steps):
         g = PSSGrid.from_points(np.zeros((1, 2)), 1.0, Vec2(0.0, 0.0), (11, 11))
         cage = CageCircle(Vec2(0.0, 0.0), 3.0)
-        return verify_caging_in_time(g, tuple(seq), caged_step(cage))
+        return verify_caging_in_time(caged_failures(g, cage, steps))
 
     def test_identity_propagation_succeeds(self):
-        res = self._run([NoAction()] * 5)
+        res = self._run(5)
         assert res.success and res.failure_step is None
 
     def test_pure_fold(self):
-        a = self._run([NoAction()] * 5)
-        b = self._run([NoAction()] * 5)
-        assert a == b
-
-    def test_empty_initial_raises(self):
-        g = PSSGrid(np.zeros((5, 5), dtype=bool), 1.0, Vec2(0.0, 0.0))
-        with pytest.raises(EmptyInitialPSS):
-            verify_caging_in_time(g, tuple([NoAction()]), lambda p, a, t: (p, None))
+        assert self._run(5) == self._run(5)
 
     def test_first_violation_reported(self):
         g = PSSGrid.from_points(np.zeros((1, 2)), 1.0, Vec2(0.0, 0.0), (11, 11))
 
-        def propagate(pss, action, t):
+        def propagate(pss):
             # drift one cell right per step
             pts = pss.occupied_world() + np.array([1.0, 0.0])
             return PSSGrid.from_points(pts, pss.resolution, pss.frame_center,
                                        pss.cells.shape)
 
         cage = CageCircle(Vec2(0.0, 0.0), 2.5)
-        res = verify_caging_in_time(g, tuple([NoAction()] * 5), caged_step(cage, propagate))
+        res = verify_caging_in_time(caged_failures(g, cage, 5, propagate))
         assert not res.success
         assert res.failure_step == 2  # drifted to x=3 > 2.5 on the third step
         assert res.failure_reason is FailureReason.EscapedCage
 
     def test_infeasible_action_reported(self):
-        g = PSSGrid.from_points(np.zeros((1, 2)), 1.0, Vec2(0.0, 0.0), (11, 11))
-        res = verify_caging_in_time(
-            g, tuple([NoAction()] * 3),
-            lambda p, a, t: (p, None if t < 1 else FailureReason.InfeasibleAction),
-        )
+        def failures():
+            yield None
+            yield FailureReason.InfeasibleAction
+            raise AssertionError("the fold read a step past the first failure")
+
+        res = verify_caging_in_time(failures())
         assert res.failure_step == 1
         assert res.failure_reason is FailureReason.InfeasibleAction
 

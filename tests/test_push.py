@@ -22,10 +22,8 @@ from cageintime.push import (
     PushProblem,
     compute_poa,
     find_push,
-    initial_set,
     plan_push,
     propagate_pss,
-    push_step,
     pusher_pose,
     segment_distance,
     trigger_cage,
@@ -608,17 +606,15 @@ class TestPlanProperties:
         assert result.success and len(plan) == len(prob.trajectory) - 1 == 48
         with pytest.raises(ValueError, match="plan of 49 steps is longer than its 48-step path"):
             verify_push_plan(prob, prob.trajectory[0], [*plan, NoAction()])
+        with pytest.raises(ValueError, match="plan of 49 steps"):  # when called, not iterated
+            push_module.replay(prob, prob.trajectory[0], [*plan, NoAction()])
         # a shorter plan, such as a failed plan of the planner, replays as its prefix
         assert verify_push_plan(prob, prob.trajectory[0], plan[:3]).success
 
     def test_kernel_replay_reproduces_runlog(self):
         prob = small_problem()
         plan, _, log = plan_push(prob, prob.trajectory[0])
-        pss = initial_set(prob, prob.trajectory[0])
-        records = []
-        for t, action in enumerate(plan):
-            pss, record = push_step(prob, pss, action, t)
-            records.append(record)
+        records = [record for _, record, _ in push_module.replay(prob, prob.trajectory[0], plan)]
         assert any(isinstance(a, PushAngle) for a in plan)
         assert records == log.records
 
