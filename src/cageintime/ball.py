@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import ClassVar, Optional, Sequence
 
 import numpy as np
@@ -85,10 +85,17 @@ def no_uncertainty(n: int) -> UncertaintyModel:
 
 @dataclass(frozen=True)
 class PlateState:
+    """Plate tilt and world acceleration, and the in-plane acceleration
+    a_eff (n,) of gravity and the plate they give per tilt axis: for n=1,
+    (g + ddz) sin(theta) + ddx cos(theta). a_eff is computed once, when the
+    plate is built; the arrays are read-only, so a changed plate comes from
+    ``dataclasses.replace``, which computes it again."""
+
     n: int
     half_length: float  # m
     tilt: np.ndarray  # (n,) rad
     accel: np.ndarray  # (n+1,) world plate acceleration, m/s^2
+    a_eff: np.ndarray = field(init=False, repr=False, compare=False)  # (n,) m/s^2
 
     def __post_init__(self):
         if self.n not in (1, 2):
@@ -99,10 +106,10 @@ class PlateState:
         a = np.asarray(self.accel, dtype=float).reshape(self.n + 1)
         if np.any(np.abs(t) >= math.pi / 2):
             raise ValueError("tilt magnitude must stay below pi/2")
-        object.__setattr__(self, "tilt", t)
-        object.__setattr__(self, "accel", a)
-        t.setflags(write=False)
-        a.setflags(write=False)
+        a_eff = G * np.sin(t) + (a[self.n] * np.sin(t) + a[: self.n] * np.cos(t))
+        for name, value in (("tilt", t), ("accel", a), ("a_eff", a_eff)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -238,16 +245,6 @@ class ProbGrid:
 # --- plate-frame kinematics and dynamics ----------------------------------
 
 
-def plate_frame_accels(plate: PlateState) -> np.ndarray:
-    """In-plane acceleration a_eff (n,) of gravity and the plate, per tilt
-    axis; for n=1 this is (g + ddz) sin(theta) + ddx cos(theta).
-    """
-    t = plate.tilt
-    ddz = plate.accel[plate.n]
-    dd_in = plate.accel[: plate.n]
-    return G * np.sin(t) + (ddz * np.sin(t) + dd_in * np.cos(t))
-
-
 def _inplane_jacobian(plate: PlateState) -> np.ndarray:
     """d(a_eff)/d(world plate accel), shape (n, n+1)."""
     T = np.zeros((plate.n, plate.n + 1))
@@ -271,9 +268,8 @@ def accel_distribution(
     noise channels.
     """
     v = np.asarray(v, dtype=float)
-    a_eff = plate_frame_accels(plate)
     k = ball.kappa
-    drive = k * a_eff  # sensitivity to relative mass error
+    drive = k * plate.a_eff  # sensitivity to relative mass error
     mu = drive - ball.mu_r * v
     T = _inplane_jacobian(plate)
     var = (
@@ -301,7 +297,7 @@ def energy(x, v, a_eff, model: EnergyModel) -> float:
 
 def e_max(plate: PlateState, model: EnergyModel) -> float:
     """Escape level: lowest static energy on the plate boundary."""
-    a_eff = plate_frame_accels(plate)
+    a_eff = plate.a_eff
     l = plate.half_length
     if plate.n == 1:
         return 0.5 * model.k_ve * l * l - model.mass * abs(float(a_eff[0])) * l
@@ -315,7 +311,7 @@ def e_max(plate: PlateState, model: EnergyModel) -> float:
 
 def _energy_field(grid: ProbGrid, plate: PlateState, model: EnergyModel) -> np.ndarray:
     """Energy of every supported cell, aligned with grid.p."""
-    a_eff = plate_frame_accels(plate)
+    a_eff = plate.a_eff
     ax, av = grid.x_axis, grid.v_axis
     n = grid.n
     E = np.zeros(len(grid.p))

@@ -68,6 +68,12 @@ class PushProblem:
             raise ValueError("object_radius and cage_size must be positive")
         if self.K < 3:
             raise ValueError("need at least 3 candidate angles")
+        # find_push holds the angles 2 pi k / K as (K,) float arrays: past
+        # 2**53 a float no longer holds every k, and from about 2**60 numpy
+        # refuses to size the array instead of failing to allocate it
+        if self.K > 2**53:
+            raise ValueError(f"K must be at most 2**53 = {2**53}, the largest count "
+                             f"whose angle indices a float holds exactly, got {self.K}")
         if self.d_push <= 0 or self.pusher_length <= 0:
             raise ValueError("d_push and pusher_length must be positive")
         if self.resolution > self.cage_size / 10.0 + 1e-12:

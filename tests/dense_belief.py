@@ -57,7 +57,7 @@ def box_values(n, N, x_max, v_max, x_lo, x_hi, v_lo, v_hi) -> np.ndarray:
 
 def energy_field(grid: B.ProbGrid, plate: B.PlateState, model: B.EnergyModel) -> np.ndarray:
     """Energy of every grid cell, shape (N,)*2n."""
-    a_eff = B.plate_frame_accels(plate)
+    a_eff = plate.a_eff
     ax, av = axes(grid)
     n, N = grid.n, grid.N
     E = np.zeros((N,) * (2 * n))
@@ -95,7 +95,7 @@ def propagate(grid, plate, ball, unc, dt) -> tuple[np.ndarray, float, int]:
     xs = np.column_stack([ax[idx[d]] for d in range(n)])
     vs = np.column_stack([av[idx[n + d]] for d in range(n)])
     M = xs.shape[0]
-    a_eff = B.plate_frame_accels(plate)
+    a_eff = plate.a_eff
     k = ball.kappa
     T = B._inplane_jacobian(plate)
     drive = k * a_eff

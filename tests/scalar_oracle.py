@@ -18,12 +18,16 @@ from cageintime.core import TiltRate
 from cageintime.oracle import BallOracleConfig
 
 
-def exact_accel(x, v, tilt, plate_accel, ball, eta_m, eta_p, eta_mu) -> np.ndarray:
+def in_plane_accel(tilt, plate_accel) -> np.ndarray:
+    """Gravity's and the plate's in-plane acceleration a_eff (n,)."""
     n = tilt.shape[0]
-    noisy = plate_accel + eta_p
     g_theta = ballmod.G * np.sin(tilt)
-    a_p = noisy[n] * np.sin(tilt) + noisy[:n] * np.cos(tilt)
-    a_eff = g_theta + a_p
+    a_p = plate_accel[n] * np.sin(tilt) + plate_accel[:n] * np.cos(tilt)
+    return g_theta + a_p
+
+
+def exact_accel(x, v, tilt, plate_accel, ball, eta_m, eta_p, eta_mu) -> np.ndarray:
+    a_eff = in_plane_accel(tilt, plate_accel + eta_p)
     return ball.kappa * (1.0 + eta_m) * a_eff - (ball.mu_r + eta_mu) * v
 
 

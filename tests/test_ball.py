@@ -1,7 +1,7 @@
 """Ball-on-plate belief dynamics, energy cage, and control loop."""
 
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -13,7 +13,7 @@ from cageintime.core import (FailureReason, TiltRate, VerificationResult,
                              verify_caging_in_time)
 
 import dense_belief as D
-from scalar_oracle import exact_accel
+from scalar_oracle import exact_accel, in_plane_accel
 
 
 TB = B.tennis_ball()
@@ -58,26 +58,50 @@ class TestPlateState:
         with pytest.raises(ValueError):
             B.PlateState(3, 0.08, np.zeros(3), np.zeros(4))
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_a_eff_is_the_oracle_term(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(50):
+            plate = B.PlateState(n, 0.08, rng.uniform(-1.5, 1.5, n), rng.normal(0.0, 5.0, n + 1))
+            assert np.array_equal(plate.a_eff, in_plane_accel(plate.tilt, plate.accel))
+
+    def test_a_eff_is_read_only(self):
+        plate = B.PlateState(2, 0.08, np.array([0.1, -0.2]), np.array([0.5, -0.3, 0.2]))
+        with pytest.raises(ValueError):
+            plate.a_eff[0] = 0.0
+        with pytest.raises(FrozenInstanceError):
+            plate.a_eff = np.zeros(2)
+        with pytest.raises(ValueError):  # not an argument, so never passed in stale
+            replace(plate, a_eff=np.zeros(2))
+
+    @pytest.mark.parametrize("change", [{"tilt": np.array([0.3, 0.1])},
+                                        {"accel": np.array([-1.0, 2.0, 0.7])}])
+    def test_replace_recomputes_a_eff(self, change):
+        plate = B.PlateState(2, 0.08, np.array([0.1, -0.2]), np.array([0.5, -0.3, 0.2]))
+        moved = replace(plate, **change)
+        assert np.array_equal(moved.a_eff, in_plane_accel(moved.tilt, moved.accel))
+        assert not np.any(moved.a_eff == plate.a_eff)
+
 
 class TestPlateFrameAccels:
     def test_flat_static_zero(self):
-        a_eff = B.plate_frame_accels(flat_plate())
+        a_eff = flat_plate().a_eff
         assert np.allclose(a_eff, 0.0)
 
     def test_gravity_component(self):
         plate = B.PlateState(1, 0.08, np.array([0.1]), np.zeros(2))
-        a_eff = B.plate_frame_accels(plate)
+        a_eff = plate.a_eff
         assert a_eff[0] == pytest.approx(9.81 * math.sin(0.1))
         assert a_eff[0] == pytest.approx(0.9794, abs=1e-4)
 
     def test_pure_inertial_term(self):
         plate = B.PlateState(1, 0.08, np.zeros(1), np.array([1.0, 0.0]))
-        a_eff = B.plate_frame_accels(plate)
+        a_eff = plate.a_eff
         assert a_eff[0] == pytest.approx(1.0)
 
     def test_vertical_accel_scales_gravity(self):
         plate = B.PlateState(1, 0.08, np.array([0.1]), np.array([0.0, 1.0]))
-        a_eff = B.plate_frame_accels(plate)
+        a_eff = plate.a_eff
         assert a_eff[0] == pytest.approx((9.81 + 1.0) * math.sin(0.1))
 
 
@@ -97,7 +121,7 @@ class TestAccelDistribution:
         v = np.array([[0.0, 0.0], [0.3, -0.7], [-1.0, 0.2]])
         mu, var = B.accel_distribution(v, plate, TB, unc)
         assert mu.shape == var.shape == (3, 2)
-        drive = TB.kappa * B.plate_frame_accels(plate)
+        drive = TB.kappa * plate.a_eff
         T = B._inplane_jacobian(plate)
         for row, vr in zip(var, v):
             cov = (unc.sigma_m**2 * np.outer(drive, drive)
@@ -158,7 +182,7 @@ class TestEnergy:
             g = D.grid(n, N, 0.08, 1.0, vals)
             plate = B.PlateState(n, 0.08, rng.uniform(-0.5, 0.5, n),
                                  rng.uniform(-1, 1, n + 1))
-            a_eff = B.plate_frame_accels(plate)
+            a_eff = plate.a_eff
             field = B._energy_field(g, plate, MODEL)
             ax, av = g.x_axis, g.v_axis
             assert field.shape == g.p.shape
@@ -197,7 +221,7 @@ class TestEMax:
         l = 0.08
 
         def sampled(plate, m):
-            a_eff = B.plate_frame_accels(plate)
+            a_eff = plate.a_eff
             s = np.linspace(-l, l, m)
             b = np.vstack([np.column_stack([s, np.full(m, c)]) for c in (l, -l)]
                           + [np.column_stack([np.full(m, c), s]) for c in (l, -l)])
@@ -207,7 +231,7 @@ class TestEMax:
         clipped = 0
         for _ in range(20):
             plate = B.PlateState(2, l, rng.uniform(-0.5, 0.5, 2), rng.uniform(-20, 20, 3))
-            a_eff = B.plate_frame_accels(plate)
+            a_eff = plate.a_eff
             clipped += bool(np.any(np.abs(MODEL.mass * a_eff / MODEL.k_ve) > l))
             exact = B.e_max(plate, MODEL)
             fine = sampled(plate, 10**5)

@@ -262,6 +262,9 @@ class TestConfigValidation:
         ("d_push_mm", 10**400, "d_push_mm does not fit a float"),
         ("K", 10**400, "K does not fit a 64-bit integer"),
         ("K", 2**63, "K does not fit a 64-bit integer"),
+        # fits 64 bits, but numpy would refuse to size its (K,) angle array
+        ("K", 2**62, f"K must be at most 2**53 = {2**53}, the largest count whose "
+                     f"angle indices a float holds exactly, got {2**62}"),
     ])
     def test_number_too_large_rejected(self, tmp_path, capsys, key, value, message):
         out = tmp_path / "out"
@@ -274,6 +277,15 @@ class TestConfigValidation:
         # a 2e9-pixel square grid: numpy refuses its 3.47 EiB at once
         out = tmp_path / "out"
         path = write_config(tmp_path, "c.yaml", push_doc(str(out), d_push_mm=1.0e9))
+        assert cli.main(["push", "--config", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: Unable to allocate") and captured.out == ""
+        assert not out.exists()
+
+    def test_unallocatable_angle_count_rejected(self, tmp_path, capsys):
+        # the largest K accepted: its 64 PiB angle array cannot be allocated
+        out = tmp_path / "out"
+        path = write_config(tmp_path, "c.yaml", push_doc(str(out), K=2**53))
         assert cli.main(["push", "--config", path]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error: Unable to allocate") and captured.out == ""

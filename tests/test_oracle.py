@@ -335,7 +335,7 @@ def _noise(rng, R, n):
             rng.normal(0.0, unc.sigma_mu, (R, 1)))
 
 
-def _batch_vs_scalar(plan, traj, tilt0, R, seed):
+def _batch_vs_scalar(plan, traj, tilt0, R, seed, substep=0.002):
     """Integrate R rollouts as one batch and one at a time."""
     n = tilt0.shape[0]
     rng = np.random.default_rng(seed)
@@ -344,11 +344,11 @@ def _batch_vs_scalar(plan, traj, tilt0, R, seed):
     eta_m, eta_p, eta_mu = _noise(rng, R, n)
     ball = B.tennis_ball()
     xs, vs = oracle.integrate_ball(plan, traj, ball, x0, v0, tilt0, 0.02,
-                                   0.002, eta_m, eta_p, eta_mu)
+                                   substep, eta_m, eta_p, eta_mu)
     assert xs.shape == vs.shape == (len(plan) + 1, R, n)
     for r in range(R):
         xs_r, vs_r = scalar_oracle.integrate_ball(
-            plan, traj, ball, x0[r], v0[r], tilt0, 0.02, 0.002,
+            plan, traj, ball, x0[r], v0[r], tilt0, 0.02, substep,
             eta_m[r, 0], eta_p[r], eta_mu[r, 0])
         assert np.array_equal(xs[:, r], xs_r), r
         assert np.array_equal(vs[:, r], vs_r), r
@@ -382,6 +382,24 @@ class TestBatchedBallOracle:
         rates = np.random.default_rng(12).uniform(-0.5, 0.5, (30, 2))
         plan = tuple(TiltRate.of(r) for r in rates)
         _batch_vs_scalar(plan, traj, np.array([0.01, -0.03]), R, seed=100 + R)
+
+    @pytest.mark.parametrize("substep, m", [(0.02, 1), (0.0023, 9), (0.002, 10), (0.0005, 40)])
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("R", [1, 20])
+    def test_every_stage_count(self, substep, m, n, R):
+        # the driving term is formed once per control step for all 2m+1
+        # stage times; each substep count must still match the reference
+        assert max(1, int(round(0.02 / substep))) == m
+        rng = np.random.default_rng(1000 * m + 10 * n + R)
+        traj = rng.normal(0.0, 0.01, (11, n + 1)).cumsum(axis=0)
+        plan = tuple(TiltRate.of(r) for r in rng.uniform(-2.0, 2.0, (10, n)))
+        _batch_vs_scalar(plan, traj, rng.uniform(-0.3, 0.3, n), R, seed=m + R, substep=substep)
+
+    def test_299_rollouts(self):
+        rng = np.random.default_rng(299)
+        traj = rng.normal(0.0, 0.01, (11, 2)).cumsum(axis=0)
+        plan = tuple(TiltRate.of([r]) for r in rng.uniform(-2.0, 2.0, 10))
+        _batch_vs_scalar(plan, traj, np.array([0.1]), 299, seed=299)
 
     def test_single_rollout_takes_unbatched_inputs(self):
         ball = B.tennis_ball()
