@@ -24,6 +24,7 @@ from .core import (
     RunLog,
     TiltRate,
     VerificationResult,
+    check_plan_length,
 )
 from . import qp as qpmod
 
@@ -143,8 +144,8 @@ class ControlParams:
     def __post_init__(self):
         if self.eps <= 0:
             raise ValueError("eps must be positive")
-        if self.beta_max < 0:
-            raise ValueError("beta_max must be nonnegative")
+        if not self.beta_max >= 0:  # NaN included
+            raise ValueError(f"beta_max must be nonnegative, got {self.beta_max}")
 
 
 @functools.lru_cache(maxsize=None)
@@ -738,9 +739,7 @@ def verify_ball_plan(initial: ProbGrid, actions: Sequence[TiltRate], trajectory:
     from .core import verify_caging_in_time
 
     traj = np.atleast_2d(np.asarray(trajectory, dtype=float))
-    if len(actions) > len(traj) - 1:
-        raise ValueError(f"plan of {len(actions)} steps is longer than "
-                         f"its {len(traj) - 1}-step path")
+    check_plan_length(actions, traj)
     # known defect: step t under accels[t + 1], one step ahead of the
     # planner's accels[t]; the benchmark pins the verdict this gives
     accels = trajectory_accels(traj, params.dt)[1:]

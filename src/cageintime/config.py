@@ -72,27 +72,27 @@ def _integer(key: str, value) -> int:
 
 
 def _real(key: str, value) -> float:
-    """A real config value: an int or a float that fits a float, never a bool or a string."""
+    """A finite real config value: an int or a float that fits a float,
+    never a bool, a string, NaN or an infinity."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise BadSpec(f"{key} must be a number, got {value!r}")
     try:
-        return float(value)
+        value = float(value)
     except OverflowError:
         raise BadSpec(f"{key} does not fit a float") from None
-
-
-def _finite(value) -> bool:
-    try:
-        return (not isinstance(value, bool) and isinstance(value, (int, float))
-                and math.isfinite(value))
-    except OverflowError:  # an int too large for a float
-        return False
+    if not math.isfinite(value):
+        raise BadSpec(f"{key} must be finite, got {value}")
+    return value
 
 
 def _grid(raw: dict, key: str, read: Callable = _real) -> list:
     """A sweep grid: a nonempty list of finite numbers, each read by ``read``."""
     values = raw.get(key)
-    if not (isinstance(values, list) and values and all(map(_finite, values))):
+    try:
+        numbers = isinstance(values, list) and values and [_real(key, v) for v in values]
+    except BadSpec:
+        numbers = False
+    if not numbers:
         raise BadSpec(f"{key} must be a nonempty list of finite numbers, got {values!r}")
     return [read(key, v) for v in values]
 
@@ -239,11 +239,11 @@ def build_sweep(cfg: RunConfig) -> tuple[tuple[str, ...], list, Callable[[list],
                       f"{', '.join(_CATCH_GRIDS)} or the push grid {', '.join(_PUSH_GRIDS)}")
     if kinds[0] is _PUSH_GRIDS:
         steps = raw.get("circle_steps")
-        if not (isinstance(steps, dict) and steps and all(map(_finite, steps))):
+        if not (isinstance(steps, dict) and steps):
             raise BadSpec(f"circle_steps must map finite cage sizes to waypoint counts, "
                           f"got {steps!r}")
         problems = oraclemod.push_grid_cells(
-            {float(c): _integer("circle_steps", n) for c, n in steps.items()},
+            {_real("circle_steps", c): _integer("circle_steps", n) for c, n in steps.items()},
             _grid(raw, "K_grid", _integer))
         return oraclemod.PUSH_GRID_COLUMNS, problems, partial(
             oraclemod.push_grid, rollouts=_at_least_one(raw, "rollouts", 100), seed=cfg.seed)

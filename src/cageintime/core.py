@@ -10,7 +10,7 @@ import enum
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sized
 
 import numpy as np
 
@@ -235,6 +235,14 @@ def verify_caging_in_time(failures: Iterable[Optional[FailureReason]]) -> Verifi
         if failure is not None:
             return VerificationResult(False, t, failure)
     return VerificationResult(True)
+
+
+def check_plan_length(plan: Sized, path: Sized) -> None:
+    """The plan-length rule of every replay and oracle: a plan longer than
+    its path of len(path) - 1 steps raises ValueError; a shorter plan runs
+    as its prefix, as a failed plan of the planner does."""
+    if len(plan) > len(path) - 1:
+        raise ValueError(f"plan of {len(plan)} steps is longer than its {len(path) - 1}-step path")
 
 
 def contains_geometric(pss: PSSGrid, cage: CageCircle) -> bool:

@@ -14,7 +14,7 @@ from typing import ClassVar, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .core import Action, PushAngle, TiltRate, Vec2
+from .core import Action, PushAngle, TiltRate, Vec2, check_plan_length
 from .push import PushProblem, PusherPose, plan_push, pusher_pose
 from . import ball as ballmod
 from . import trajectories as trajmod
@@ -50,13 +50,14 @@ def simulate_push(
 ) -> Vec2:
     """Ground-truth displacement of one push.
 
-    The pusher advances in micro-steps after first touching the bounding
-    circle. Each micro-step the object may rotate by a random fraction of
-    the rotation bound, converting forward motion into lateral slip. Two
-    physical constraints are enforced per step: a rigid quasi-static object
-    cannot move farther than it was pushed, and the cumulative displacement
-    stays inside the friction-theory semi-ellipse grown to the contact
-    travel so far.
+    The pusher advances in ``delta_m`` micro-steps after first touching the
+    bounding circle. Each micro-step the object rotates, to one side drawn
+    per push, by a random fraction of Peshkin & Sanderson's (1988) rotation
+    bound for a contact distance c drawn per micro-step, which turns forward
+    motion into lateral slip. The one other constraint is the rigid
+    quasi-static bound: a micro-step moves the object no farther than the
+    pusher travels. Nothing here knows the planner's motion set, so a push
+    may end outside the semi-ellipse that ``push.propagate_pss`` assumes.
 
     A push that never reaches the bounding circle is a no-op (zero
     displacement) and draws nothing. A push with n micro-steps draws
@@ -92,7 +93,6 @@ def simulate_push(
     beta = math.pi / 2.0
     u = 0.0  # along the push direction
     v = 0.0  # along the pusher segment
-    s = 0.0
     for step, c_draw, frac in zip(steps, r[1::2], r[2::2]):
         c = lo + span * c_draw  # rng.uniform(lo, hi)
         sb = math.sin(beta)
@@ -108,15 +108,6 @@ def simulate_push(
         u += du
         v += dv
         beta += dbeta
-        s += step
-        # stay inside the semi-ellipse grown to the travel so far
-        if u < 0.0:
-            u = 0.0
-        q = (u / s) ** 2 + (v / (s / 2.0)) ** 2
-        if q > 1.0:
-            scale = 1.0 / math.sqrt(q)
-            u *= scale
-            v *= scale
     return Vec2(u * d.x + v * tx, u * d.y + v * ty)
 
 
@@ -130,8 +121,10 @@ def rollout_push_plan(
     """Execute an open-loop push plan against the ground-truth simulator.
 
     Returns the object position after every step and the maximum distance
-    to the reference waypoint.
+    to the reference waypoint. A plan shorter than the path rolls out as its
+    prefix; a longer one raises ValueError.
     """
+    check_plan_length(plan, problem.trajectory)
     q = q0
     positions = [q]
     max_err = (q - problem.trajectory[0]).norm()
@@ -300,7 +293,8 @@ def integrate_ball(
     and is the same for every rollout; plate acceleration is
     piecewise-constant from second differences of the plate path. Returns
     position and velocity traces of shape (T+1, R, n), sampled at every
-    control step.
+    control step. A plan shorter than the path rolls out as its prefix; a
+    longer one raises ValueError.
 
     The exact acceleration is gain * a_eff(tilt) - drag * v, with the
     noisy gain kappa * (1 + eta_m), the noisy friction mu_r + eta_mu and the
@@ -311,6 +305,7 @@ def integrate_ball(
     """
     n = initial_tilt.shape[0]
     traj = np.atleast_2d(np.asarray(trajectory, dtype=float))
+    check_plan_length(plan, traj)
     accels = ballmod.trajectory_accels(traj, dt)
     if eta_p is None:
         eta_p = np.zeros(n + 1)
@@ -330,7 +325,7 @@ def integrate_ball(
     offs = np.array([*(s for i in range(m) for s in (i * h, (i + 0.5) * h)), m * h])[:, None]
     for t, action in enumerate(plan):
         u = np.asarray(action.dtheta, dtype=float)
-        noisy = accels[min(t, accels.shape[0] - 1)] + eta_p
+        noisy = accels[t] + eta_p
         tilts = tilt + u * offs  # (2m+1, n)
         sin, cos = np.sin(tilts)[:, None], np.cos(tilts)[:, None]
         # gain * a_eff at every stage time, (2m+1, R, n)

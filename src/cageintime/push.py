@@ -33,6 +33,7 @@ from .core import (
     WaypointSpacingTooLarge,
     action_to_json,
     cell_indices,
+    check_plan_length,
     contains_geometric,
     verify_caging_in_time,
 )
@@ -516,9 +517,7 @@ def replay(problem: PushProblem, initial_position: Vec2, plan: Sequence[Action])
     ``plan_push`` rejects and a plan longer than the path; a shorter plan
     replays as its prefix, as a failed plan of the planner does."""
     checked_spacing(problem, initial_position)
-    if len(plan) > len(problem.trajectory) - 1:
-        raise ValueError(f"plan of {len(plan)} steps is longer than "
-                         f"its {len(problem.trajectory) - 1}-step path")
+    check_plan_length(plan, problem.trajectory)
 
     def steps(pss):
         for t, action in enumerate(plan):

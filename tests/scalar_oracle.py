@@ -59,7 +59,7 @@ def integrate_ball(
     h = dt / m
     for t, action in enumerate(plan):
         u = np.asarray(action.dtheta, dtype=float)
-        pa = accels[min(t, accels.shape[0] - 1)]
+        pa = accels[t]
         for i in range(m):
             tilt_a = tilt + u * (i * h)
             tilt_b = tilt + u * ((i + 0.5) * h)

@@ -56,14 +56,6 @@ def simulate_push(
         v += dv
         beta += dbeta
         s += step
-        # stay inside the semi-ellipse grown to the travel so far
-        if u < 0.0:
-            u = 0.0
-        q = (u / s) ** 2 + (v / (s / 2.0)) ** 2
-        if q > 1.0:
-            scale = 1.0 / math.sqrt(q)
-            u *= scale
-            v *= scale
     d = pose.direction
     t = pose.tangent
     return Vec2(u * d.x + v * t.x, u * d.y + v * t.y)

@@ -594,6 +594,11 @@ class TestDynamicControl:
         assert not result.success
         assert result.failure_step == 0
 
+    @pytest.mark.parametrize("beta_max", [-1.0, float("nan")])
+    def test_slew_bound_must_be_nonnegative(self, beta_max):
+        with pytest.raises(ValueError, match=f"beta_max must be nonnegative, got {beta_max}"):
+            B.ControlParams(beta_max=beta_max)
+
     def test_runlog_fields(self):
         g = D.delta(1, 81, 0.08, 1.0, 0.0, 0.0)
         setup = B.balancing_setup()

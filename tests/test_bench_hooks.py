@@ -38,15 +38,38 @@ def test_every_workload_builds():
         assert len(tasks.build(workload)) == len(entries)
 
 
-@pytest.mark.parametrize("workload", ["push_circle", "push_lemniscate_long", "ball_line",
-                                      "ball_square"])
-def test_plans_match_reference(workload):
+@pytest.fixture(scope="module", params=["push_circle", "push_lemniscate_long", "ball_line",
+                                        "ball_square"])
+def planned(request):
+    """The benchmark module and each task of one workload with its plan and
+    planner verdict, planned once for every test here."""
     tasks = load("tasks")
+    return tasks, [(task, *task.plan()) for task in tasks.build(request.param)]
+
+
+def test_plans_match_reference(planned):
+    tasks, runs = planned
     reference = tasks.load_reference()
-    for task in tasks.build(workload):
-        plan, verdict = task.plan()
+    for task, plan, verdict in runs:
         ref = reference[task.name]
         assert task.same_plan(task.record(plan), ref["plan"]), task.name
         assert tasks._verdict(verdict) == ref["planner"], task.name
         # the replay verdicts are pinned too, the catch's known false escape included
         assert tasks._verdict(task.replay(plan)) == ref["replay"], task.name
+
+
+def test_oracle_verdicts_match_reference(planned):
+    """The oracle checks of ``tasks.deviations``: a plan recorded as caged
+    keeps every rollout caged on seeds 0-2, and one recorded with escapes
+    (the catch's 4 of 20) repeats its count at the reference seed."""
+    tasks, runs = planned
+    reference = tasks.load_reference()
+    for task, plan, _ in runs:
+        ref = reference[task.name]
+        if ref["escapes"]:
+            got = [task.oracle(plan, tasks.REFERENCE_SEED)]
+            want = [(ref["escapes"], ref["rollouts"])]
+        else:
+            got = [task.oracle(plan, seed) for seed in range(3)]
+            want = [(0, ref["rollouts"])] * 3
+        assert got == want, task.name

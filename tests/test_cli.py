@@ -208,8 +208,30 @@ class TestConfigValidation:
         doc.update({key: value, "out": str(out)})
         path = write_config(tmp_path, "c.yaml", doc)
         assert cli.main(["push", "--config", path]) == 1
-        field = key.removesuffix("_mm")
-        assert capsys.readouterr().err.startswith(f"error: {field} must be finite, got {value}")
+        assert capsys.readouterr().err.startswith(f"error: {key} must be finite, got {value}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, key, value", [
+        ("push_circle.yaml", "radius_mm", float("inf")),
+        ("push_circle.yaml", "oracle_radius_mm", float("inf")),
+        ("ball_lemniscate.yaml", "k_ve", float("inf")),
+        ("ball_lemniscate.yaml", "amplitude_m", float("nan")),
+        ("ball_catch.yaml", "beta_max", float("nan")),
+        ("ball_catch.yaml", "half_length_m", float("inf")),
+        ("ball_catch.yaml", "v_max_m_s", float("nan")),
+        ("ball_catch.yaml", "v0_m_s", float("inf")),
+        ("ball_catch.yaml", "dv0_m_s", float("nan")),
+    ])
+    def test_non_finite_value_rejected(self, tmp_path, capsys, name, key, value):
+        # every config number is checked where it is read, before anything is built
+        out = tmp_path / "out"
+        with open(os.path.join(CONFIGS, name)) as fh:
+            doc = yaml.safe_load(fh)
+        doc["out"] = str(out)
+        (doc["trajectory"] if key in doc["trajectory"] else doc)[key] = value
+        path = write_config(tmp_path, "c.yaml", doc)
+        assert cli.main([doc["task"], "--config", path]) == 1
+        assert capsys.readouterr() == ("", f"error: {key} must be finite, got {value}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("task, key, value", [
@@ -239,7 +261,7 @@ class TestConfigValidation:
         assert capsys.readouterr().err.startswith("error: oracle_radius_mm")
         assert not out.exists()  # no plan that was never validated
 
-    @pytest.mark.parametrize("radius", [float("inf"), 1e9, 25.5])
+    @pytest.mark.parametrize("radius", [1e9, 25.5])
     def test_oracle_radius_above_object_radius(self, tmp_path, capsys, radius):
         out = tmp_path / "out"
         path = write_config(tmp_path, "c.yaml", push_doc(str(out), oracle_radius_mm=radius))

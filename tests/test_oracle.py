@@ -10,8 +10,9 @@ from cageintime.core import NoAction, PushAngle, TiltRate, Vec2
 from cageintime import ball as B
 from cageintime import oracle
 from cageintime.config import build_push, load_config
-from cageintime.push import PushProblem, plan_push, pusher_pose
+from cageintime.push import PushProblem, plan_push, pusher_pose, replay
 from cageintime.trajectories import as_vec2_list, circle
+from motion_set import motion_set
 import scalar_oracle
 import scalar_push_oracle
 
@@ -24,6 +25,17 @@ class _StickyRng:
 
     def random(self, size):
         return np.zeros(size)
+
+
+class _ExtremeRng:
+    """Deterministic stand-in at the far end of the oracle's support: the
+    rotation side is +1, and every micro-step takes the largest contact
+    distance and the full rotation bound."""
+
+    def random(self, size):
+        r = np.full(size, 1.0 - 1e-12)
+        r[0] = 0.0
+        return r
 
 
 class TestPeshkinBound:
@@ -89,6 +101,21 @@ class TestSimulatePush:
             lateral = abs(disp.x * pose.tangent.x + disp.y * pose.tangent.y)
             assert lateral <= d_con / 2.0 + 0.1
             assert disp.norm() <= d_con + 0.1
+
+    def test_full_rotation_leaves_the_planners_semi_ellipse(self):
+        # the oracle keeps only its own physics: a push that touches at once
+        # (d_con = d_push = 20 mm) at full rotation slips sideways beyond the
+        # planner's semi-ellipse, within the rotation and no-outrun bounds
+        pose = pusher_pose(Vec2(0.0, 0.0), 45.0, 0.0, 50.0)
+        q = Vec2(20.0, 0.0)
+        disp = oracle.simulate_push(q, pose, 20.0, oracle.PushOracleConfig(), _ExtremeRng())
+        ms = motion_set(q, pose, 25.0, 20.0)
+        assert ms.d_con == 20.0 and not ms.contains(disp)
+        u = disp.x * pose.direction.x + disp.y * pose.direction.y
+        v = disp.x * pose.tangent.x + disp.y * pose.tangent.y
+        assert (u / 20.0) ** 2 + (v / 10.0) ** 2 == pytest.approx(1.60, abs=0.01)
+        assert abs(v) <= 20.0 / 2.0 and disp.norm() <= 20.0
+        assert disp.norm() == pytest.approx(19.74, abs=0.01)
 
 
 def _bits(p: Vec2) -> tuple[str, str]:
@@ -203,6 +230,34 @@ class TestShippedPlanRollouts:
         assert len(calls) == sum(isinstance(a, PushAngle) for a in plan) > 0
 
 
+def _envelope_miss(name: str, reason: str):
+    return pytest.param(name, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason=f"measured on configs/{name}: {reason}; the PSS holds the planner's "
+               f"semi-ellipse rasterised by cell centres, not the oracle's physics, until the "
+               f"motion set is derived from them and rasterised conservatively "
+               f"(ROADMAP items 3 and 4)"))
+
+
+@pytest.mark.parametrize("shipped_plan", [
+    _envelope_miss("push_circle.yaml", "1410 of 23,800 rollout states (5.92%) lie farther "
+                   "than 0.71 mm from every cell, the farthest 1.97 mm"),
+    _envelope_miss("push_lemniscate.yaml", "3619 of 32,000 rollout states (11.31%) lie "
+                   "farther than 0.71 mm from every cell, the farthest 1.43 mm"),
+], indirect=True)
+def test_rollouts_stay_in_pss_envelope(shipped_plan):
+    """After every step, each of 200 seeded oracle rollouts lies within half
+    a pixel diagonal (0.71 mm) of a cell of the step's PSS from the replay."""
+    problem, start, plan = shipped_plan
+    sets = [pss.occupied_world() for pss, _, _ in replay(problem, start, plan)]
+    runs = oracle.push_rollouts(plan, problem, start, oracle.PushOracleConfig(seed=0), 200)
+    gaps = np.array([[np.hypot(*(cells - q.as_array()).T).min()
+                      for cells, q in zip(sets, positions[1:])] for positions, _ in runs])
+    misses = gaps > 0.5 * problem.resolution * math.sqrt(2.0)
+    assert not misses.any(), (f"{misses.sum()} of {misses.size} states miss, "
+                              f"the farthest {gaps.max():.2f} mm from a cell")
+
+
 class TestRolloutPushPlan:
     def test_all_none_plan_static(self):
         traj = (Vec2(0.0, 0.0),) * 6
@@ -211,6 +266,18 @@ class TestRolloutPushPlan:
         _, max_err = oracle.rollout_push_plan(plan, prob, Vec2(0.0, 0.0),
                                               oracle.PushOracleConfig(), np.random.default_rng(0))
         assert max_err == 0.0
+
+    def test_rejects_a_plan_longer_than_its_path(self):
+        prob = PushProblem(trajectory=(Vec2(0.0, 0.0),) * 5)
+        push = PushAngle(theta=0.0, k=1)
+        with pytest.raises(ValueError, match="plan of 7 steps is longer than its 4-step path"):
+            oracle.rollout_push_plan([push] * 7, prob, Vec2(0.0, 0.0),
+                                     oracle.PushOracleConfig(), np.random.default_rng(0))
+        # a shorter plan rolls out as its prefix
+        positions, _ = oracle.rollout_push_plan([NoAction()] * 2, prob, Vec2(0.0, 0.0),
+                                                oracle.PushOracleConfig(),
+                                                np.random.default_rng(0))
+        assert positions == [Vec2(0.0, 0.0)] * 3
 
     def test_bit_reproducible(self):
         traj = tuple(as_vec2_list(circle(60.0, 48)) + [Vec2(60.0, 0.0)])
@@ -313,6 +380,19 @@ class TestRolloutBall:
             plan, traj, ball, B.no_uncertainty(1), cfg, 0.08, 0.02,
             np.zeros(1), (0.0, 0.0), (0.9, 1.0))
         assert rate < 1.0
+
+    def test_rejects_a_plan_longer_than_its_path(self):
+        ball = B.tennis_ball()
+        plan = tuple([TiltRate.of([0.5])] * 10)
+        cfg = oracle.BallOracleConfig(rollouts=2, seed=0)
+        args = (ball, B.no_uncertainty(1), cfg, 0.08, 0.02, np.zeros(1), (0.0, 0.0), (0.0, 0.0))
+        with pytest.raises(ValueError, match="plan of 10 steps is longer than its 5-step path"):
+            oracle.rollout_ball(plan, np.zeros((6, 2)), *args)
+        # a shorter plan rolls out as its prefix: the first 5 steps of the long path
+        rate, max_abs = oracle.rollout_ball(plan[:5], np.zeros((11, 2)), *args)
+        xs, _ = oracle.integrate_ball(plan[:5], np.zeros((6, 2)), ball, np.zeros((2, 1)),
+                                      np.zeros((2, 1)), np.zeros(1), 0.02, cfg.step)
+        assert rate == 1.0 and np.array_equal(max_abs, np.max(np.abs(xs), axis=(0, 2)))
 
     def test_bit_reproducible(self):
         ball = B.tennis_ball()
