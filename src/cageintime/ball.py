@@ -531,10 +531,10 @@ def dynamic_control(
         V = clf_value(grid, plate, model, params.k_S)
         u = np.zeros(n)
         failed = None
+        sol = None
         try:
             Lf_h, Lg_h, Lf_V, Lg_V = lie_derivatives(grid, plate, ball, unc, model, params, h, V)
             lo, hi = rate_bounds(plate.tilt, prev_u, params)
-            sol = None
             if not np.any(lo >= hi):
                 sol = qpmod.solve(
                     qpmod.CbfClfQP(
@@ -565,6 +565,7 @@ def dynamic_control(
             t=t, action={"dtheta": u.tolist()}, pss_cells=len(grid.p),
             cage_center=traj[t + 1, :n].tolist(), h=h, V=V, entropy=entropy(grid),
             dtheta=u.tolist(), tilt=plate.tilt.tolist(),
+            qp_active=list(sol.active) if sol is not None else [],
         )
         log.add(record)
         if failed is not None:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cageintime import ball as B
+from cageintime import qp as qpmod
 from cageintime.core import (FailureReason, TiltRate, VerificationResult,
                              verify_caging_in_time)
 
@@ -607,8 +608,20 @@ class TestDynamicControl:
             setup.params, np.zeros(1))
         rec = log.records[0]
         for key in ("t", "action", "contained", "pss_cells", "cage_center",
-                    "E_max", "max_E", "h", "V", "entropy", "lost_mass", "dtheta"):
+                    "E_max", "max_E", "h", "V", "entropy", "lost_mass", "dtheta",
+                    "qp_active"):
             assert key in rec
+
+    def test_runlog_names_the_active_constraints(self, catch_run):
+        # the zero rate is returned with no active row; any other rate is
+        # pinned by at least one named row
+        *_, log = catch_run
+        names = set(qpmod.row_names(1))
+        for rec in log.records:
+            assert set(rec["qp_active"]) <= names
+            if rec["dtheta"] != [0.0]:
+                assert rec["qp_active"]
+        assert any(rec["qp_active"] == [] for rec in log.records)
 
 
 def _planned(setup, traj):
