@@ -1,31 +1,28 @@
-"""Exact solver for the barrier/Lyapunov quadratic program.
+"""Closed-form solver for the barrier/Lyapunov quadratic program.
 
 minimize    ||dtheta||^2 + lam * delta^2
 subject to  Lf_h + Lg_h . dtheta + alpha_h >= 0        (barrier)
             Lf_V + Lg_V . dtheta + cV <= delta          (Lyapunov, slacked)
             lo <= dtheta <= hi
 
-With n in {1, 2} and a free slack delta there are at most 2 + 2n inequality
-constraints, so the global optimum is found by enumerating active sets and
-solving each equality-constrained QP in closed form.
-
-The objective is a sum of squares with lam > 0, so when the zero rate with
-zero slack is feasible it is the optimum and is returned before any KKT
-system is formed. Otherwise the active sets are enumerated by size in
-``itertools.combinations`` order, and each size's KKT systems are built as
-one stack and solved one by one. A set of bound rows alone that holds both
-bounds of one axis is left out: since lo < hi those two equalities never
-hold together, its KKT matrix has two opposite columns, and its entries
-(0, +-1, 2, 2*lam, with the slack decoupled) keep the LU exact, so the
-solve always raised. A set that adds the barrier or the Lyapunov row to
-both bounds is singular too, but rounding in its LU can hide that and its
-solution can then pass the feasibility test, so it stays enumerated.
+The objective is a sum of squares with lam > 0, so a feasible zero rate
+with zero slack is the optimum and is returned at once. Otherwise, with
+g = Lg_V and e = Lf_V + cV, the best slack is delta = max(0, g . u + e).
+That leaves the strictly convex, piecewise quadratic
+f(u) = |u|^2 + lam * delta(u)^2 on the polygon P that the barrier line cuts
+from the box (a segment for n = 1). The minimiser of f over P is its free
+minimiser if that lies in P, and otherwise lies on an edge p -> p + t d of
+P, where f is a quadratic in t on each side of the kink at which delta
+turns positive. f is continuously differentiable, so a minimiser at the
+kink is a stationary point of both pieces. So the candidates are the free
+minimiser and, per edge, its start and the two pieces' stationary points;
+the feasible candidate of least objective is the answer. No linear system
+is solved.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,25 +111,28 @@ def cbf_satisfiable(qp: CbfClfQP) -> bool:
     return best >= -1e-12
 
 
-@functools.lru_cache(maxsize=None)
-def _active_sets(n: int) -> tuple[np.ndarray, ...]:
-    """The nonempty active sets to solve, one read-only (S, size) array of
-    row indices per size 1..n+1, in ``itertools.combinations`` order: every
-    set of rows of ``_constraints`` but the sets of bound rows alone that
-    hold both bounds of one axis. Shared by every QP of dimension n."""
-    m = 2 + 2 * n
-    tables = []
-    for size in range(1, n + 2):
-        sets = [s for s in itertools.combinations(range(m), size)
-                if min(s) < 2 or not any(2 + 2 * i in s and 3 + 2 * i in s for i in range(n))]
-        idx = np.array(sets, dtype=np.intp)
-        idx.setflags(write=False)
-        tables.append(idx)
-    return tuple(tables)
+def _polygon(qp: CbfClfQP) -> np.ndarray:
+    """Vertices, in order and possibly repeated, of the box clipped to the
+    barrier's half-plane (Sutherland-Hodgman). A box corner is kept with the
+    tolerance and arithmetic of ``cbf_satisfiable``, so a barrier that can
+    be met keeps one; an edge that crosses the barrier line adds the
+    crossing, clipped to the edge."""
+    lo, hi = qp.lo, qp.hi
+    box = np.array([lo, hi] if qp.n == 1 else [lo, (hi[0], lo[1]), hi, (lo[0], hi[1])])
+    c = qp.Lf_h + qp.alpha_h + np.sum(qp.Lg_h * box, axis=1)
+    inside = c >= -1e-12
+    out = []
+    for k in range(len(box)):  # the edge box[k - 1] -> box[k]
+        if inside[k - 1] != inside[k]:
+            t = min(max(c[k - 1] / (c[k - 1] - c[k]), 0.0), 1.0)
+            out.append(box[k - 1] + t * (box[k] - box[k - 1]))
+        if inside[k]:
+            out.append(box[k])
+    return np.array(out)
 
 
 def solve(qp: CbfClfQP) -> QPSolution:
-    """Global optimum by active-set enumeration; exact for this problem size.
+    """Global optimum in closed form.
 
     feasible=False iff the barrier constraint cannot be met inside the box
     (the slack makes the Lyapunov constraint always satisfiable). Raises
@@ -146,34 +146,30 @@ def solve(qp: CbfClfQP) -> QPSolution:
     tol = 1e-9
     if np.all(A @ np.zeros(n + 1) <= b + tol):
         return QPSolution(np.zeros(n), 0.0, 0.0, True)
-    P2 = np.diag([2.0] * n + [2.0 * qp.lam])  # Hessian of the objective
-    best_z = None
-    best_set = ()
-    best_obj = float("inf")
-    for idx in _active_sets(n):
-        count, size = idx.shape
-        Aa = A[idx]
-        kkt = np.zeros((count, n + 1 + size, n + 1 + size))
-        kkt[:, : n + 1, : n + 1] = P2
-        kkt[:, : n + 1, n + 1 :] = Aa.transpose(0, 2, 1)
-        kkt[:, n + 1 :, : n + 1] = Aa
-        rhs = np.zeros((count, n + 1 + size))
-        rhs[:, n + 1 :] = b[idx]
-        for s in range(count):
-            # one system at a time: a stacked solve raises on any singular one
-            try:
-                sol_vec = np.linalg.solve(kkt[s], rhs[s])
-            except np.linalg.LinAlgError:
-                continue
-            z = sol_vec[: n + 1]
-            if np.all(A @ z <= b + tol):
-                obj = float(z[:n] @ z[:n] + qp.lam * z[n] ** 2)
-                if obj < best_obj - 1e-15:
-                    best_obj = obj
-                    best_z = z
-                    best_set = idx[s]
-    if best_z is None:
+    g, e, lam = qp.Lg_V, qp.Lf_V + qp.cV, qp.lam
+    V = _polygon(qp)
+    D = np.roll(V, -1, axis=0) - V  # the edges V[k] -> V[k] + D[k]
+    s0, s1 = V @ g + e, D @ g
+    pd, dd = np.sum(V * D, axis=1), np.sum(D * D, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # per edge: its start and the minimisers of the pieces delta = 0
+        # and delta > 0
+        T = np.column_stack([np.zeros(len(V)), -pd / dd,
+                             -(pd + lam * s1 * s0) / (dd + lam * s1**2)])
+    # a t outside [0, 1), or nan from a zero edge, becomes the edge's start:
+    # the end is the next edge's start, exactly
+    T = np.where((T >= 0.0) & (T < 1.0), T, 0.0)
+    # the unconstrained minimiser; 0.0 - x keeps a zero rate +0.0, as a rate
+    # is written to plan.json
+    free = 0.0 - lam * max(e, 0.0) * g / (1.0 + lam * (g @ g))
+    U = np.vstack([free, (V[:, None] + T[:, :, None] * D[:, None]).reshape(-1, n)])
+    Z = np.column_stack([U, np.maximum(0.0, U @ g + e)])  # with the optimal slack
+    obj = np.einsum("ij,ij->i", U, U) + lam * Z[:, n] ** 2
+    obj[~np.all(Z @ A.T <= b + tol, axis=1)] = np.inf
+    i = int(np.argmin(obj))
+    if not obj[i] < np.inf:
         raise ValueError("satisfiable barrier gave no feasible point; the QP's data are out of range")
-    names = row_names(n)
-    return QPSolution(best_z[:n].copy(), float(best_z[n]), best_obj, True,
-                      tuple(names[i] for i in best_set))
+    z = Z[i]
+    held = np.flatnonzero(np.abs(A @ z - b) <= tol)
+    return QPSolution(z[:n].copy(), float(z[n]), float(obj[i]), True,
+                      tuple(row_names(n)[j] for j in held))
