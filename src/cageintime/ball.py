@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
-from typing import ClassVar, Optional, Sequence
+from typing import ClassVar, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -80,8 +80,16 @@ class UncertaintyModel:
         S.setflags(write=False)
 
 
-def no_uncertainty(n: int) -> UncertaintyModel:
-    return UncertaintyModel(0.0, np.zeros((n + 1, n + 1)), 0.0)
+def _check_tilt(tilt: np.ndarray) -> None:
+    if np.any(np.abs(tilt) >= math.pi / 2):
+        raise ValueError("tilt magnitude must stay below pi/2")
+
+
+def _in_plane_accel(tilt: np.ndarray, accel: np.ndarray) -> np.ndarray:
+    """a_eff (..., n) of plates at tilts (..., n) under one world plate
+    acceleration (n+1,)."""
+    n = tilt.shape[-1]
+    return G * np.sin(tilt) + (accel[n] * np.sin(tilt) + accel[:n] * np.cos(tilt))
 
 
 @dataclass(frozen=True)
@@ -105,9 +113,8 @@ class PlateState:
             raise ValueError("half_length must be positive")
         t = np.asarray(self.tilt, dtype=float).reshape(self.n)
         a = np.asarray(self.accel, dtype=float).reshape(self.n + 1)
-        if np.any(np.abs(t) >= math.pi / 2):
-            raise ValueError("tilt magnitude must stay below pi/2")
-        a_eff = G * np.sin(t) + (a[self.n] * np.sin(t) + a[: self.n] * np.cos(t))
+        _check_tilt(t)
+        a_eff = _in_plane_accel(t, a)
         for name, value in (("tilt", t), ("accel", a), ("a_eff", a_eff)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
@@ -246,23 +253,34 @@ class ProbGrid:
 # --- plate-frame kinematics and dynamics ----------------------------------
 
 
-def _inplane_jacobian(plate: PlateState) -> np.ndarray:
-    """d(a_eff)/d(world plate accel), shape (n, n+1)."""
-    T = np.zeros((plate.n, plate.n + 1))
-    for i in range(plate.n):
-        T[i, i] = math.cos(plate.tilt[i])
-        T[i, plate.n] = math.sin(plate.tilt[i])
+def _inplane_jacobian(tilt: np.ndarray) -> np.ndarray:
+    """d(a_eff)/d(world plate accel) of plates at tilts (..., n), shape
+    (..., n, n+1)."""
+    n = tilt.shape[-1]
+    T = np.zeros(tilt.shape + (n + 1,))
+    axes = np.arange(n)
+    T[..., axes, axes] = np.cos(tilt)
+    T[..., axes, n] = np.sin(tilt)
     return T
+
+
+class _Plates(NamedTuple):
+    """A stack of plates, by their tilts and a_eff (..., n): what the
+    belief step reads of a plate."""
+
+    tilt: np.ndarray
+    a_eff: np.ndarray
 
 
 def accel_distribution(
     v: np.ndarray,
-    plate: PlateState,
+    plate: PlateState | _Plates,
     ball: BallParams,
     unc: UncertaintyModel,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gaussian ball acceleration at velocities v (..., n): mean and
-    per-axis variance, both (..., n). The position does not enter.
+    per-axis variance, both (..., n). The position does not enter. A stack
+    of plates broadcasts its leading axes against those of v.
 
     Mean is the noise-free dynamics; variance is the diagonal of the
     first-order propagation of the mass, plate-acceleration, and friction
@@ -272,58 +290,78 @@ def accel_distribution(
     k = ball.kappa
     drive = k * plate.a_eff  # sensitivity to relative mass error
     mu = drive - ball.mu_r * v
-    T = _inplane_jacobian(plate)
+    T = _inplane_jacobian(plate.tilt)
     var = (
         unc.sigma_m**2 * drive**2
-        + k**2 * np.diagonal(T @ unc.Sigma_p @ T.T)
+        + k**2 * np.diagonal(T @ unc.Sigma_p @ np.swapaxes(T, -1, -2), axis1=-2, axis2=-1)
         + unc.sigma_mu**2 * v**2
     )
     return mu, var
 
 
 # --- energy cage ----------------------------------------------------------
+#
+# The cage terms of one plate and those of a stack of plates (the
+# Lie-derivative probes) are the same functions: a_eff is (n,) for one plate
+# and carries leading axes for a stack.
 
 
-def energy(x, v, a_eff, model: EnergyModel) -> float:
-    """Total cage energy: kinetic + virtual spring + tilt potential."""
-    x = np.atleast_1d(np.asarray(x, float))
-    v = np.atleast_1d(np.asarray(v, float))
-    a = np.atleast_1d(np.asarray(a_eff, float))
-    return float(
-        0.5 * model.m_eff * (v @ v)
-        + 0.5 * model.k_ve * (x @ x)
-        - model.mass * (a @ x)
-    )
+def _escape_level(a_eff: np.ndarray, half_length: float, model: EnergyModel) -> np.ndarray:
+    """Escape level of plates with in-plane accelerations a_eff (..., n)."""
+    l = half_length
+    if a_eff.shape[-1] == 1:
+        return 0.5 * model.k_ve * l * l - model.mass * np.abs(a_eff[..., 0]) * l
+    # square plate: on each edge the static energy is a 1-D quadratic in the
+    # free coordinate, lowest at its vertex clipped to the edge
+    free = np.clip(model.mass * a_eff / model.k_ve, -l, l)
+    b = np.empty(a_eff.shape[:-1] + (4, 2))
+    b[..., 0, 0] = b[..., 1, 0] = free[..., 0]
+    b[..., 2, 1] = b[..., 3, 1] = free[..., 1]
+    b[..., 0, 1] = b[..., 2, 0] = l
+    b[..., 1, 1] = b[..., 3, 0] = -l
+    stat = 0.5 * model.k_ve * np.sum(b * b, axis=-1) - model.mass * (b @ a_eff[..., None])[..., 0]
+    return stat.min(axis=-1)
 
 
 def e_max(plate: PlateState, model: EnergyModel) -> float:
     """Escape level: lowest static energy on the plate boundary."""
-    a_eff = plate.a_eff
-    l = plate.half_length
-    if plate.n == 1:
-        return 0.5 * model.k_ve * l * l - model.mass * abs(float(a_eff[0])) * l
-    # square plate: on each edge the static energy is a 1-D quadratic in the
-    # free coordinate, lowest at its vertex clipped to the edge
-    free = np.clip(model.mass * a_eff / model.k_ve, -l, l)
-    b = np.array([[free[0], l], [free[0], -l], [l, free[1]], [-l, free[1]]])
-    stat = 0.5 * model.k_ve * np.sum(b * b, axis=1) - model.mass * (b @ a_eff)
-    return float(stat.min())
+    return float(_escape_level(plate.a_eff, plate.half_length, model))
+
+
+def _cell_energy(cols, x_axis: np.ndarray, v_axis: np.ndarray, a_eff: np.ndarray,
+                 model: EnergyModel) -> np.ndarray:
+    """Total cage energy (kinetic, virtual spring and tilt potential) of the
+    cells whose axis indices are cols (2n arrays), under a_eff (n,) or one
+    a_eff row per cell."""
+    n = len(cols) // 2
+    E = 0.0
+    for d in range(n):
+        x = x_axis[cols[d]]
+        E = E + (0.5 * model.k_ve * x**2 - model.mass * a_eff[..., d] * x)
+        E = E + 0.5 * model.m_eff * v_axis[cols[n + d]] ** 2
+    return E
 
 
 def _energy_field(grid: ProbGrid, plate: PlateState, model: EnergyModel) -> np.ndarray:
     """Energy of every supported cell, aligned with grid.p."""
-    a_eff = plate.a_eff
-    ax, av = grid.x_axis, grid.v_axis
-    n = grid.n
-    E = np.zeros(len(grid.p))
-    for d in range(n):
-        E = E + (0.5 * model.k_ve * ax**2 - model.mass * a_eff[d] * ax)[grid.cells[:, d]]
-        E = E + (0.5 * model.m_eff * av**2)[grid.cells[:, n + d]]
-    return E
+    return _cell_energy(grid.cells.T, grid.x_axis, grid.v_axis, plate.a_eff, model)
+
+
+def _entropies(p: np.ndarray, bounds) -> list[float]:
+    """Entropy of each slice bounds[b]:bounds[b+1] of the masses p."""
+    plogp = p * np.log(p)
+    return [float(-plogp[a:b].sum()) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def _lyapunov(p: np.ndarray, E: np.ndarray, bounds, k_S: float) -> list[float]:
+    """``clf_value`` of each slice of the masses p and their energies E."""
+    pE = p * E
+    return [float(pE[a:b].sum()) - k_S * S
+            for a, b, S in zip(bounds[:-1], bounds[1:], _entropies(p, bounds))]
 
 
 def entropy(grid: ProbGrid) -> float:
-    return float(-np.sum(grid.p * np.log(grid.p)))
+    return _entropies(grid.p, (0, len(grid.p)))[0]
 
 
 def max_energy(grid: ProbGrid, plate: PlateState, model: EnergyModel) -> float:
@@ -337,8 +375,7 @@ def cbf_value(grid: ProbGrid, plate: PlateState, model: EnergyModel) -> float:
 
 def clf_value(grid: ProbGrid, plate: PlateState, model: EnergyModel, k_S: float) -> float:
     """Expected energy minus weighted belief entropy."""
-    E = _energy_field(grid, plate, model)
-    return float(np.sum(grid.p * E)) - k_S * entropy(grid)
+    return _lyapunov(grid.p, _energy_field(grid, plate, model), (0, len(grid.p)), k_S)[0]
 
 
 # --- belief propagation ---------------------------------------------------
@@ -355,6 +392,69 @@ _QUAD_RULES = {
 }
 
 
+def _step_beliefs(
+    grid: ProbGrid,
+    tilt: np.ndarray,
+    a_eff: np.ndarray,
+    ball: BallParams,
+    unc: UncertaintyModel,
+    dt: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The belief step of ``propagate_prob`` from one grid under B plates at
+    once, given by their tilts and a_eff (B, n).
+
+    Deposits are keyed by destination cell in C order over (B,) + (N,)*2n,
+    so plate b's keys are offset by b * N^2n and one sort and one
+    ``np.bincount`` serve every plate: bincount sums each key's deposits in
+    input order, which within a plate is the order of its own step. Returns
+    the sorted keys of the kept cells, their masses (not normalized), the
+    bounds (B+1,) of each plate's slice of both, and the lost mass (B,).
+
+    Each plate fails as its own step would, and the first in order first:
+    on its tilt (|tilt| >= pi/2, ValueError) before its step, or with
+    ``AllMassLost`` when its whole belief leaves the box.
+    """
+    n, N = grid.n, grid.N
+    B = len(tilt)
+    xs, vs, ps = grid.support()
+    mu, var = accel_distribution(vs, _Plates(tilt[:, None], a_eff[:, None]), ball, unc)  # (B, M, n)
+
+    offs, wts = _QUAD_RULES[n]
+    nodes = mu[:, :, None, :] + offs * np.sqrt(var)[:, :, None, :]  # (B, M, Q, n)
+    v_new = vs[:, None, :] + nodes * dt
+    x_new = np.broadcast_to(xs[:, None, :] + vs[:, None, :] * dt, v_new.shape)
+    idx = grid.nearest(x_new, v_new)
+    inside = (idx >= 0) & (idx <= N - 1)
+    ok = inside[..., 0]
+    for i in range(1, 2 * n):  # faster than all(-1) over so short an axis
+        ok = ok & inside[..., i]
+    mass = np.multiply(ps[:, None], wts, out=np.empty(ok.shape))  # (B, M, Q)
+    lost = np.zeros(B) if ok.all() else np.array([m[~o].sum() for m, o in zip(mass, ok)])
+    if lost.max() >= 1.0 - 1e-12 or np.abs(tilt).max() >= math.pi / 2:
+        for b in range(B):
+            _check_tilt(tilt[b])
+            if lost[b] >= 1.0 - 1e-12:
+                raise AllMassLost("all probability mass left the state box")
+
+    # C-order keys over (B,) + (N,)*2n as floats, exact below 2**53; plate b's
+    # keys start at starts[b]
+    places = float(N) ** np.arange(2 * n - 1, -1, -1)
+    starts = np.arange(B + 1) * float(N) ** (2 * n)
+    deposits = (idx @ places + starts[:-1, None, None])[ok]
+    # np.unique with its inverse costs about twice this sort and search
+    keys = np.sort(deposits)
+    new = np.empty(len(keys), dtype=bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    keys = keys[new]
+    cell_mass = np.bincount(np.searchsorted(keys, deposits), weights=mass[ok])
+    bounds = np.searchsorted(keys, starts)
+    peak = np.maximum.reduceat(cell_mass, bounds[:-1])
+    keep = cell_mass >= (1e-3 * peak).repeat(bounds[1:] - bounds[:-1])
+    keys = keys[keep]
+    return keys.astype(np.intp), cell_mass[keep], np.searchsorted(keys, starts), lost
+
+
 def propagate_prob(
     grid: ProbGrid,
     plate: PlateState,
@@ -369,33 +469,11 @@ def propagate_prob(
     per-axis variance from ``accel_distribution``), deposited at the
     nearest destination cell of one Euler step. Mass leaving the box is
     returned as lost_mass; cells below 1e-3 of the peak are pruned before
-    renormalizing.
+    renormalizing. The step is ``_step_beliefs`` under a stack of one plate.
     """
-    n, N = grid.n, grid.N
-    xs, vs, ps = grid.support()
-    mu, var = accel_distribution(vs, plate, ball, unc)  # (M, n) each
-    sig = np.sqrt(var)
-
-    offs, wts = _QUAD_RULES[n]
-    nodes = mu[:, None, :] + offs[None, :, :] * sig[:, None, :]  # (M, 7^n, n)
-
-    v_new = vs[:, None, :] + nodes * dt  # (M, Q, n)
-    x_new = np.broadcast_to(xs[:, None, :] + vs[:, None, :] * dt, v_new.shape)
-    idx = grid.nearest(x_new, v_new)
-    ok = np.all((idx >= 0) & (idx <= N - 1), axis=2)
-    mass = ps[:, None] * wts[None, :]
-    lost = float(mass[~ok].sum())
-    if lost >= 1.0 - 1e-12:
-        raise AllMassLost("all probability mass left the state box")
-
-    # bincount sums the deposits of each destination cell in input order
-    shape = (N,) * (2 * n)
-    lin = np.ravel_multi_index(idx[ok].astype(int).T, shape)
-    keys, inv = np.unique(lin, return_inverse=True)
-    cell_mass = np.bincount(inv, weights=mass[ok])
-    keep = cell_mass >= 1e-3 * cell_mass.max()
-    cells = np.column_stack(np.unravel_index(keys[keep], shape))
-    return ProbGrid(n, N, grid.x_max, grid.v_max, cells, cell_mass[keep]), lost
+    keys, mass, _, lost = _step_beliefs(grid, plate.tilt[None], plate.a_eff[None], ball, unc, dt)
+    cells = np.column_stack(np.unravel_index(keys, (grid.N,) * (2 * grid.n)))
+    return ProbGrid(grid.n, grid.N, grid.x_max, grid.v_max, cells, mass), float(lost[0])
 
 
 # --- Lie derivatives and the control loop ---------------------------------
@@ -412,27 +490,40 @@ def lie_derivatives(
     V: float,
 ) -> tuple[float, np.ndarray, float, np.ndarray]:
     """Numerical (Lf_h, Lg_h, Lf_V, Lg_V) from the current barrier h and
-    Lyapunov value V and 2n+1 one-step ``ball_step`` probes."""
+    Lyapunov value V and 2n+1 one-step probes under the tilt rates 0 and
+    +-eps on each axis.
+
+    A probe is a ``ball_step`` followed by the ``clf_value`` of its belief.
+    The 2n+1 probes run as one stacked belief step (``_step_beliefs``) and
+    one energy field over their concatenated supports; each probe's
+    reductions run on its own slice with the numpy calls of the single
+    step, so every probe's barrier and Lyapunov value equal its
+    ``ball_step``'s to the bit. A probe fails as its ``ball_step`` would.
+    """
     n = plate.n
     dt, eps = params.dt, params.eps
-
-    def phi(u: np.ndarray) -> tuple[float, float]:
-        g2, p2, record = ball_step(grid, plate, u, ball, unc, model, dt)
-        return record["E_max"] - record["max_E"], clf_value(g2, p2, model, params.k_S)
-
-    h0, V0 = phi(np.zeros(n))
-    Lf_h = (h0 - h) / dt
-    Lf_V = (V0 - V) / dt
+    rates = np.zeros((2 * n + 1, n))  # 0, then +eps and -eps on each axis
+    for d in range(n):
+        rates[1 + 2 * d, d] = eps
+        rates[2 + 2 * d] = -rates[1 + 2 * d]
+    tilt = plate.tilt + rates * dt
+    a_eff = _in_plane_accel(tilt, plate.accel)
+    keys, mass, bounds, _ = _step_beliefs(grid, tilt, a_eff, ball, unc, dt)
+    probe, *cols = np.unravel_index(keys, (len(rates),) + (grid.N,) * (2 * n))
+    E = _cell_energy(cols, grid.x_axis, grid.v_axis, a_eff[probe], model)
+    # each probe's belief normalized on its own, as ProbGrid does
+    totals = np.array([mass[a:b].sum() for a, b in zip(bounds[:-1], bounds[1:])])
+    p = mass / totals.repeat(bounds[1:] - bounds[:-1])
+    h_probe = _escape_level(a_eff, plate.half_length, model) - np.maximum.reduceat(E, bounds[:-1])
+    V_probe = _lyapunov(p, E, bounds, params.k_S)
+    Lf_h = (h_probe[0] - h) / dt
+    Lf_V = (V_probe[0] - V) / dt
     Lg_h = np.zeros(n)
     Lg_V = np.zeros(n)
     for d in range(n):
-        e = np.zeros(n)
-        e[d] = eps
-        hp, Vp = phi(e)
-        hm, Vm = phi(-e)
-        Lg_h[d] = (hp - hm) / (2.0 * eps * dt)
-        Lg_V[d] = (Vp - Vm) / (2.0 * eps * dt)
-    return Lf_h, Lg_h, Lf_V, Lg_V
+        Lg_h[d] = (h_probe[1 + 2 * d] - h_probe[2 + 2 * d]) / (2.0 * eps * dt)
+        Lg_V[d] = (V_probe[1 + 2 * d] - V_probe[2 + 2 * d]) / (2.0 * eps * dt)
+    return float(Lf_h), Lg_h, Lf_V, Lg_V
 
 
 def trajectory_accels(positions: np.ndarray, dt: float) -> np.ndarray:
@@ -478,12 +569,13 @@ def ball_step(
     model: EnergyModel,
     dt: float,
 ) -> tuple[ProbGrid, PlateState, dict]:
-    """The ball step kernel of the planner, its Lie-derivative probes and
-    ``replay`` (so of the verifier and the renderer): advance the plate's
-    tilt by the rate u over dt, holding its acceleration, propagate the
-    belief under the new plate, and check the worst supported energy against
-    the escape level. Returns the new belief, the new plate and a record of
-    these cage terms.
+    """The ball step kernel of the planner and ``replay`` (so of the
+    verifier and the renderer): advance the plate's tilt by the rate u over
+    dt, holding its acceleration, propagate the belief under the new plate,
+    and check the worst supported energy against the escape level. Returns
+    the new belief, the new plate and a record of these cage terms. The
+    Lie-derivative probes are this step under 2n+1 rates at once
+    (``lie_derivatives``), with the same belief-step math and cage terms.
     """
     plate = replace(plate, tilt=plate.tilt + np.asarray(u, dtype=float) * dt)
     grid, lost = propagate_prob(grid, plate, ball, unc, dt)

@@ -36,11 +36,6 @@ class PushOracleConfig:
             raise ValueError("oracle_radius_mm: object radius must exceed 4 micro-steps")
 
 
-def peshkin_delta_beta(a: float, c: float, beta0: float, m: float) -> float:
-    """Largest possible rotation of the pushed object per pusher travel m."""
-    return c * math.sin(beta0) / (a * a + c * c) * m
-
-
 def simulate_push(
     q0: Vec2,
     pose: PusherPose,
@@ -96,7 +91,7 @@ def simulate_push(
     for step, c_draw, frac in zip(steps, r[1::2], r[2::2]):
         c = lo + span * c_draw  # rng.uniform(lo, hi)
         sb = math.sin(beta)
-        # peshkin_delta_beta(a, c, beta, step), in its operation order
+        # Peshkin's bound c sin(beta) / (a^2 + c^2) * step, in this operation order
         dbeta = side * frac * (c * sb / (a2 + c * c) * step)
         dv = neg_a * sb * dbeta
         du = step + a * math.cos(beta) * dbeta

@@ -97,7 +97,7 @@ def propagate(grid, plate, ball, unc, dt) -> tuple[np.ndarray, float, int]:
     M = xs.shape[0]
     a_eff = plate.a_eff
     k = ball.kappa
-    T = B._inplane_jacobian(plate)
+    T = B._inplane_jacobian(plate.tilt)
     drive = k * a_eff
     base_var = unc.sigma_m**2 * drive**2 + k**2 * np.diag(T @ unc.Sigma_p @ T.T)
     sig = np.sqrt(base_var[None, :] + unc.sigma_mu**2 * vs**2)

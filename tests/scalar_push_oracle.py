@@ -16,8 +16,9 @@ import math
 import numpy as np
 
 from cageintime.core import Vec2
-from cageintime.oracle import PushOracleConfig, peshkin_delta_beta
+from cageintime.oracle import PushOracleConfig
 from cageintime.push import PusherPose, segment_distance
+from reference_terms import peshkin_delta_beta
 
 
 def simulate_push(

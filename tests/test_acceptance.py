@@ -23,6 +23,7 @@ from cageintime.core import TiltRate, Vec2
 from cageintime.push import PushProblem, plan_push, pusher_pose, segment_distance
 import dense_belief as D
 from qp_oracle import grid_search, kkt_residuals, random_instance
+from reference_terms import no_uncertainty, peshkin_delta_beta
 from scalar_oracle import exact_accel
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -79,7 +80,7 @@ def test_criterion_02_trend_reproduction(push_grid):
 
 
 def test_criterion_03_peshkin_bound():
-    assert oracle.peshkin_delta_beta(25.0, 25.0, math.pi / 2.0, 20.0) == 0.4
+    assert peshkin_delta_beta(25.0, 25.0, math.pi / 2.0, 20.0) == 0.4
     rng = np.random.default_rng(0)
     cfg = oracle.PushOracleConfig()
     bad = 0
@@ -176,10 +177,10 @@ def test_criterion_06_probability_grid_integrity():
     g = D.delta(1, 81, 0.08, 1.0, 0.0, 0.1)
     plate = B.PlateState(1, 0.08, np.array([0.05]), np.zeros(2))
     out, _ = B.propagate_prob(g, plate, ball,
-                              B.no_uncertainty(1), 0.02)
+                              no_uncertainty(1), 0.02)
     xs, vs, ps = out.support()
     mu, _ = B.accel_distribution(np.array([0.1]), plate, ball,
-                                 B.no_uncertainty(1))
+                                 no_uncertainty(1))
     x0, v0 = g.support()[0][0, 0], g.support()[1][0, 0]
     euler_ok = (len(ps) == 1
                 and abs(xs[0, 0] - (x0 + 0.1 * 0.02)) <= out.x_step + 1e-12

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import FrozenInstanceError, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,11 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cageintime import ball as B
+from cageintime import config
 from cageintime import qp as qpmod
 from cageintime.core import (FailureReason, TiltRate, VerificationResult,
                              verify_caging_in_time)
 
 import dense_belief as D
+import probe_reference as R
+from reference_terms import energy, no_uncertainty
 from scalar_oracle import exact_accel, in_plane_accel
 
 
@@ -109,7 +113,7 @@ class TestPlateFrameAccels:
 class TestAccelDistribution:
     def test_zero_noise_zero_state(self):
         mu, var = B.accel_distribution(
-            np.zeros(1), flat_plate(), TB, B.no_uncertainty(1))
+            np.zeros(1), flat_plate(), TB, no_uncertainty(1))
         assert np.allclose(mu, 0.0) and np.allclose(var, 0.0)
 
     def test_per_axis_variance(self):
@@ -123,7 +127,7 @@ class TestAccelDistribution:
         mu, var = B.accel_distribution(v, plate, TB, unc)
         assert mu.shape == var.shape == (3, 2)
         drive = TB.kappa * plate.a_eff
-        T = B._inplane_jacobian(plate)
+        T = B._inplane_jacobian(plate.tilt)
         for row, vr in zip(var, v):
             cov = (unc.sigma_m**2 * np.outer(drive, drive)
                    + TB.kappa**2 * (T @ unc.Sigma_p @ T.T)
@@ -133,7 +137,7 @@ class TestAccelDistribution:
     def test_rolling_factor_on_slope(self):
         plate = B.PlateState(1, 0.08, np.array([0.1]), np.zeros(2))
         mu, _ = B.accel_distribution(
-            np.zeros(1), plate, TB, B.no_uncertainty(1))
+            np.zeros(1), plate, TB, no_uncertainty(1))
         assert mu[0] == pytest.approx(0.6 * 9.81 * math.sin(0.1))
         assert mu[0] == pytest.approx(0.5876, abs=1e-4)
 
@@ -148,7 +152,7 @@ class TestAccelDistribution:
         for tilt, v in [(0.1, 0.0), (-0.3, 0.4), (0.02, -0.7)]:
             plate = B.PlateState(1, 0.08, np.array([tilt]), np.array([0.5, 0.1]))
             mu, _ = B.accel_distribution(
-                np.array([v]), plate, TB, B.no_uncertainty(1))
+                np.array([v]), plate, TB, no_uncertainty(1))
             exact = exact_accel(
                 np.zeros(1), np.array([v]), plate.tilt, plate.accel,
                 TB, 0.0, np.zeros(2), 0.0)
@@ -157,18 +161,18 @@ class TestAccelDistribution:
 
 class TestEnergy:
     def test_origin_zero(self):
-        assert B.energy(0.0, 0.0, 0.0, MODEL) == 0.0
+        assert energy(0.0, 0.0, 0.0, MODEL) == 0.0
 
     def test_kinetic_term(self):
         m = B.EnergyModel(k_ve=10.0, m_eff=0.096, mass=0.058)
-        assert B.energy(0.0, 1.0, 0.0, m) == pytest.approx(0.048)
+        assert energy(0.0, 1.0, 0.0, m) == pytest.approx(0.048)
 
     def test_elastic_term(self):
-        assert B.energy(0.08, 0.0, 0.0, MODEL) == pytest.approx(0.032)
+        assert energy(0.08, 0.0, 0.0, MODEL) == pytest.approx(0.032)
 
     def test_potential_term_sign(self):
         # positive a_eff lowers the energy of positive x (downhill side)
-        assert B.energy(0.05, 0.0, 1.0, MODEL) < B.energy(0.05, 0.0, 0.0, MODEL)
+        assert energy(0.05, 0.0, 1.0, MODEL) < energy(0.05, 0.0, 0.0, MODEL)
 
 
     @pytest.mark.parametrize("n,N", [(1, 41), (2, 11)])
@@ -190,7 +194,7 @@ class TestEnergy:
             for idx, e in zip(g.cells, field):
                 x = [ax[i] for i in idx[:n]]
                 v = [av[i] for i in idx[n:]]
-                assert abs(e - B.energy(x, v, a_eff, MODEL)) <= 1e-12
+                assert abs(e - energy(x, v, a_eff, MODEL)) <= 1e-12
 
 
 class TestEMax:
@@ -372,7 +376,7 @@ class TestPropagateProb:
     def test_fixed_point_at_rest_center(self):
         g = D.delta(1, 81, 0.08, 1.0, 0.0, 0.0)
         out, lost = B.propagate_prob(g, flat_plate(), TB,
-                                     B.no_uncertainty(1), 0.02)
+                                     no_uncertainty(1), 0.02)
         assert lost == 0.0
         assert np.array_equal(out.values, g.values)
 
@@ -380,11 +384,11 @@ class TestPropagateProb:
         g = D.delta(1, 81, 0.08, 1.0, 0.0, 0.1)
         plate = B.PlateState(1, 0.08, np.array([0.05]), np.zeros(2))
         out, _ = B.propagate_prob(g, plate, TB,
-                                  B.no_uncertainty(1), 0.02)
+                                  no_uncertainty(1), 0.02)
         xs, vs, ps = out.support()
         assert len(ps) == 1
         mu, _ = B.accel_distribution(np.array([0.1]), plate, TB,
-                                     B.no_uncertainty(1))
+                                     no_uncertainty(1))
         x0, v0 = g.support()[0][0, 0], g.support()[1][0, 0]
         assert abs(xs[0, 0] - (x0 + 0.1 * 0.02)) <= out.x_step + 1e-12
         assert abs(vs[0, 0] - (v0 + mu[0] * 0.02)) <= out.v_step + 1e-12
@@ -412,11 +416,11 @@ class TestPropagateProb:
         g = D.delta(1, 81, 0.08, 1.0, 0.079, 1.0)
         with pytest.raises(B.AllMassLost):
             B.propagate_prob(g, flat_plate(), TB,
-                             B.no_uncertainty(1), 0.5)
+                             no_uncertainty(1), 0.5)
 
     def test_reads_accel_distribution(self, monkeypatch):
         g = D.delta(1, 81, 0.08, 1.0, 0.0, 0.0)
-        rest, _ = B.propagate_prob(g, flat_plate(), TB, B.no_uncertainty(1), 0.02)
+        rest, _ = B.propagate_prob(g, flat_plate(), TB, no_uncertainty(1), 0.02)
         model = B.accel_distribution
 
         def pushed(v, plate, ball, unc):
@@ -424,7 +428,7 @@ class TestPropagateProb:
             return mu + 5.0, var
 
         monkeypatch.setattr(B, "accel_distribution", pushed)
-        out, _ = B.propagate_prob(g, flat_plate(), TB, B.no_uncertainty(1), 0.02)
+        out, _ = B.propagate_prob(g, flat_plate(), TB, no_uncertainty(1), 0.02)
         # 5 m/s^2 over 0.02 s is four 0.025 m/s velocity cells
         assert np.array_equal(out.cells, rest.cells + [0, 4])
 
@@ -480,7 +484,7 @@ class TestLieDerivatives:
         g = D.delta(1, 81, 0.08, 1.0, 0.0, 0.0)
         params = B.ControlParams()
         Lf_h, Lg_h, Lf_V, Lg_V = _lie_derivatives(
-            g, flat_plate(), TB, B.no_uncertainty(1), MODEL, params)
+            g, flat_plate(), TB, no_uncertainty(1), MODEL, params)
         assert abs(Lf_h) <= 1e-6
         assert abs(Lf_V) <= 1e-6
 
@@ -524,19 +528,227 @@ class TestLieDerivatives:
         assert abs(l2[1][0] - l1[1][0]) <= 0.05 * abs(l1[1][0])
 
     @pytest.mark.parametrize("n", [1, 2])
-    def test_each_probe_is_one_ball_step(self, n, monkeypatch):
+    def test_probes_are_one_stacked_step(self, n, monkeypatch):
+        # the 2n+1 probes are one call of the belief-step kernel, under the
+        # tilts one step of the rates 0, +eps e_d and -eps e_d reaches
         setup = B.balancing_setup(n=n, N=31)
         plate = B.PlateState(n, 0.08, np.full(n, 0.05), np.zeros(n + 1))
         calls = []
-        step = B.ball_step
+        kernel = B._step_beliefs
 
-        def counted(*args):
-            calls.append(args)
-            return step(*args)
+        def counted(grid, tilt, *args):
+            calls.append(tilt)
+            return kernel(grid, tilt, *args)
 
-        monkeypatch.setattr(B, "ball_step", counted)
+        monkeypatch.setattr(B, "_step_beliefs", counted)
+        for name in ("ball_step", "propagate_prob"):
+            monkeypatch.setattr(B, name, None)  # the probes step through neither
         _lie_derivatives(setup.grid, plate, setup.ball, setup.unc, setup.model, setup.params)
-        assert len(calls) == 2 * n + 1
+        assert len(calls) == 1
+        eps, dt = setup.params.eps, setup.params.dt
+        rates = np.zeros((2 * n + 1, n))
+        for d in range(n):
+            rates[1 + 2 * d, d], rates[2 + 2 * d, d] = eps, -eps
+        assert np.array_equal(calls[0], plate.tilt + rates * dt)
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def _config_run(name):
+    setup, traj, _ = config.build_ball(config.load_config(str(CONFIGS / f"{name}.yaml")))
+    return setup, traj
+
+
+def _square_run():
+    # balancing_setup n=2 (N=31) under a plate that circles in the plane,
+    # so that every probe's plate has a nonzero a_eff on both axes
+    setup = B.balancing_setup(n=2)
+    t = np.arange(26) * setup.params.dt
+    phase = 2.0 * np.pi * t / 0.5
+    return setup, np.column_stack([0.01 * np.sin(phase), 0.01 * (1.0 - np.cos(phase)),
+                                   np.zeros_like(t)])
+
+
+PLANNED_RUNS = {
+    "ball_lemniscate": lambda: _config_run("ball_lemniscate"),  # balancing_setup n=1, N=81
+    "square": _square_run,
+    "ball_catch": lambda: _config_run("ball_catch"),
+    "ball_rice": lambda: _config_run("ball_rice"),
+}
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, B.AllMassLost) as e:
+        return type(e), str(e)
+
+
+def _same(got, ref) -> bool:
+    """Bit for bit: equal values of equal types, arrays elementwise."""
+    if isinstance(ref, tuple) and isinstance(ref[0], type):
+        return got == ref
+    return all(type(g) is type(r) and np.array_equal(g, r) for g, r in zip(got, ref, strict=True))
+
+
+def _same_step(got, ref) -> bool:
+    """Two ``propagate_prob`` outcomes, bit for bit."""
+    if isinstance(ref[0], type):
+        return got == ref
+    return (np.array_equal(got[0].cells, ref[0].cells) and np.array_equal(got[0].p, ref[0].p)
+            and got[1] == ref[1])
+
+
+@pytest.fixture(scope="module", params=list(PLANNED_RUNS))
+def stacked_and_reference(request):
+    """One planned run under the stacked probes, with every probe and every
+    taken step checked against the per-probe reference at the state it was
+    taken from, and the same run planned by the reference alone."""
+    setup, traj = PLANNED_RUNS[request.param]()
+    args = (setup.grid, traj, setup.ball, setup.unc, setup.model, setup.params,
+            setup.initial_tilt)
+    lie, prop = B.lie_derivatives, B.propagate_prob
+    probe_misses, step_misses = [], []
+
+    def checked_lie(*a):
+        got = lie(*a)
+        if not _same(got, R.lie_derivatives(*a)):
+            probe_misses.append(a)
+        return got
+
+    def checked_prop(*a):
+        got = prop(*a)
+        if not _same_step(got, R.propagate_prob(*a)):
+            step_misses.append(a)
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(B, "lie_derivatives", checked_lie)
+        mp.setattr(B, "propagate_prob", checked_prop)
+        stacked = B.dynamic_control(*args)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(B, "lie_derivatives", R.lie_derivatives)
+        mp.setattr(B, "propagate_prob", R.propagate_prob)
+        reference = B.dynamic_control(*args)
+    return request.param, stacked, reference, probe_misses, step_misses
+
+
+class TestStackedProbes:
+    """The stacked probes against ``probe_reference``, the per-probe loop
+    they replaced: every probe's barrier and Lyapunov value, and so the Lie
+    derivatives, the plans and the run logs, are the same to the bit."""
+
+    def test_lie_derivatives_match_reference_along_plans(self, stacked_and_reference):
+        name, (_, _, log), _, probe_misses, step_misses = stacked_and_reference
+        assert len(log.records) > 10, name
+        assert probe_misses == [], name
+        assert step_misses == [], name
+
+    def test_runlog_matches_reference(self, stacked_and_reference):
+        name, (plan, result, log), (ref_plan, ref_result, ref_log), *_ = stacked_and_reference
+        assert plan == ref_plan and result == ref_result, name
+        assert log.warnings == ref_log.warnings, name
+        assert len(log.records) == len(ref_log.records), name
+        for rec, ref in zip(log.records, ref_log.records):
+            assert rec.keys() == ref.keys()
+            for key in ref:
+                assert rec[key] == ref[key] and type(rec[key]) is type(ref[key]), (name, key)
+
+    def test_random_states_match_reference(self):
+        # n = 1 and n = 2, spread beliefs, tilted and accelerated plates,
+        # correlated plate noise and probes from 0.01 to 10 rad/s
+        rng = np.random.default_rng(5)
+        for i in range(60):
+            n = 2 if i % 3 == 0 else 1
+            N = 31 if n == 2 else 81
+            A = rng.normal(0.0, 0.3, (n + 1, n + 1))
+            unc = B.UncertaintyModel(rng.uniform(0.0, 0.2), A @ A.T, rng.uniform(0.0, 0.3))
+            ball = B.BallParams(0.058, 0.0335, rng.uniform(0.2, 0.8) * 0.058 * 0.0335**2,
+                                rng.uniform(0.0, 1.0))
+            x0, v0, dv = rng.uniform(-0.05, 0.05), rng.uniform(-0.5, 0.5), 0.04 * (81 // N)
+            g = B.ProbGrid.box(n, N, 0.08, 1.0, x0 - 0.006, x0 + 0.006, v0 - dv, v0 + dv)
+            plate = B.PlateState(n, 0.08, rng.uniform(-1.3, 1.3, n), rng.normal(0.0, 2.0, n + 1))
+            params = B.ControlParams(eps=float(rng.choice([0.01, 2.0, 10.0])))
+            h = B.cbf_value(g, plate, MODEL)
+            V = B.clf_value(g, plate, MODEL, params.k_S)
+            assert h == R.e_max(plate, MODEL) - R.max_energy(g, plate, MODEL)
+            assert V == R.clf_value(g, plate, MODEL, params.k_S)
+            args = (g, plate, ball, unc, MODEL, params, h, V)
+            assert _same(_outcome(B.lie_derivatives, *args), _outcome(R.lie_derivatives, *args))
+            step = (g, plate, ball, unc, 0.02)
+            assert _same_step(_outcome(B.propagate_prob, *step), _outcome(R.propagate_prob, *step))
+
+
+def _edge_probes(n, eps, v_max, v_lo, v_hi, tilt):
+    """A grid at rest in position on a flat-accelerated plate of tilt, and
+    the control parameters whose probe is eps."""
+    N = 81 if n == 1 else 31
+    g = B.ProbGrid.box(n, N, 0.08, v_max, -0.003, 0.003, v_lo, v_hi)
+    plate = B.PlateState(n, 0.08, np.asarray(tilt, float), np.zeros(n + 1))
+    return g, plate, B.ControlParams(eps=eps)
+
+
+def _probe_outcomes(g, plate, params):
+    """Each probe of the reference on its own, in probe order."""
+    n = plate.n
+    rates = [np.zeros(n)]
+    for d in range(n):
+        e = np.zeros(n)
+        e[d] = params.eps
+        rates += [e, -e]
+    return [_outcome(R.probe, g, plate, u, TB, B.default_uncertainty(n), MODEL, params)
+            for u in rates]
+
+
+class TestOneProbeFails:
+    """A stack in which exactly one probe fails fails as that probe's own
+    step does, and a probe fails before any later one."""
+
+    # the +eps probe (tilt 0.1 rad) speeds the belief out of the 0.02 m/s
+    # velocity box; at rest and under -eps it stays inside
+    LOST = dict(n=1, eps=5.0, v_max=0.02, v_lo=0.0145, v_hi=0.0155, tilt=[0.0])
+
+    def test_one_probe_losing_all_mass_raises(self):
+        g, plate, params = _edge_probes(**self.LOST)
+        outcomes = _probe_outcomes(g, plate, params)
+        lost = (B.AllMassLost, "all probability mass left the state box")
+        assert [o == lost for o in outcomes] == [False, True, False]
+        with pytest.raises(B.AllMassLost, match="all probability mass left the state box"):
+            _lie_derivatives(g, plate, TB, B.default_uncertainty(1), MODEL, params)
+
+    def test_dynamic_control_records_the_lost_probe_as_the_reference_does(self, monkeypatch):
+        g, plate, params = _edge_probes(**self.LOST)
+        args = (g, np.zeros((4, 2)), TB, B.default_uncertainty(1), MODEL, params, plate.tilt)
+        plan, result, log = B.dynamic_control(*args)
+        monkeypatch.setattr(B, "lie_derivatives", R.lie_derivatives)
+        monkeypatch.setattr(B, "propagate_prob", R.propagate_prob)
+        ref_plan, ref_result, ref_log = B.dynamic_control(*args)
+        assert result == ref_result == VerificationResult(False, 0, FailureReason.AllMassLost)
+        assert plan == ref_plan == ()
+        assert log.records == ref_log.records
+
+    def test_one_probe_tilt_at_right_angle_raises(self):
+        # from 0.01 rad below pi/2 the +eps probe's tilt passes pi/2
+        g, plate, params = _edge_probes(1, 1.0, 1.0, -0.01, 0.01, [math.pi / 2 - 0.01])
+        outcomes = _probe_outcomes(g, plate, params)
+        tilt = (ValueError, "tilt magnitude must stay below pi/2")
+        assert [o == tilt for o in outcomes] == [False, True, False]
+        with pytest.raises(ValueError, match="tilt magnitude must stay below pi/2"):
+            _lie_derivatives(g, plate, TB, B.default_uncertainty(1), MODEL, params)
+
+    def test_the_first_failing_probe_decides(self):
+        # n = 2: the +eps probe on axis 0 loses the belief, which sits at the
+        # top of the velocity box on axis 0; the later +eps probe on axis 1
+        # passes pi/2. The probes ran in order, so the lost mass is raised.
+        g, plate, params = _edge_probes(2, 15.0, 0.2, [0.185, -0.11], [0.2, -0.09], [0.0, 1.45])
+        outcomes = _probe_outcomes(g, plate, params)
+        assert [o if isinstance(o[0], type) else None for o in outcomes] == [
+            None, (B.AllMassLost, "all probability mass left the state box"), None,
+            (ValueError, "tilt magnitude must stay below pi/2"), None]
+        with pytest.raises(B.AllMassLost):
+            _lie_derivatives(g, plate, TB, B.default_uncertainty(2), MODEL, params)
 
 
 class TestDynamicControl:
@@ -545,7 +757,7 @@ class TestDynamicControl:
         traj = np.zeros((26, 2))
         setup = B.balancing_setup()
         plan, result, log = B.dynamic_control(
-            g, traj, setup.ball, B.no_uncertainty(1), setup.model,
+            g, traj, setup.ball, no_uncertainty(1), setup.model,
             setup.params, np.zeros(1))
         assert result.success
         assert all(np.allclose(a.dtheta, 0.0) for a in plan)
@@ -599,6 +811,29 @@ class TestDynamicControl:
     def test_slew_bound_must_be_nonnegative(self, beta_max):
         with pytest.raises(ValueError, match=f"beta_max must be nonnegative, got {beta_max}"):
             B.ControlParams(beta_max=beta_max)
+
+    @pytest.mark.parametrize("dv,beta_max", [(0.05, 25.0), (0.5, 5.0)])
+    def test_one_lie_derivatives_call_per_step_one_propagation_per_taken_step(
+            self, dv, beta_max, monkeypatch):
+        # the benchmark's step clock and tracer replace ball.lie_derivatives
+        # and ball.propagate_prob, so the planner and the replay must look
+        # them up there; the second catch fails, so its last step is not taken
+        setup = B.catching_setup(0.8, dv, beta_max=beta_max)
+        calls = {"lie_derivatives": 0, "propagate_prob": 0}
+        for name in calls:
+            real = getattr(B, name)
+
+            def counted(*args, _name=name, _real=real):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(B, name, counted)
+        _, traj, plan, result, log = _planned(setup, setup.trajectory(3.0))
+        assert result.success is (beta_max == 25.0)
+        assert calls == {"lie_derivatives": len(log.records), "propagate_prob": len(plan)}
+        calls.update(lie_derivatives=0, propagate_prob=0)
+        assert len(list(_replay(setup, traj, plan)[1])) == len(plan)
+        assert calls == {"lie_derivatives": 0, "propagate_prob": len(plan)}
 
     def test_runlog_fields(self):
         g = D.delta(1, 81, 0.08, 1.0, 0.0, 0.0)

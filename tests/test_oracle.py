@@ -13,6 +13,7 @@ from cageintime.config import build_push, load_config
 from cageintime.push import PushProblem, plan_push, pusher_pose, replay
 from cageintime.trajectories import as_vec2_list, circle
 from motion_set import motion_set
+from reference_terms import no_uncertainty, peshkin_delta_beta
 import scalar_oracle
 import scalar_push_oracle
 
@@ -40,13 +41,13 @@ class _ExtremeRng:
 
 class TestPeshkinBound:
     def test_reference_value_exact(self):
-        assert oracle.peshkin_delta_beta(25.0, 25.0, math.pi / 2.0, 20.0) == 0.4
+        assert peshkin_delta_beta(25.0, 25.0, math.pi / 2.0, 20.0) == 0.4
 
     def test_vanishes_with_angle(self):
-        assert oracle.peshkin_delta_beta(25.0, 25.0, 0.0, 20.0) == 0.0
+        assert peshkin_delta_beta(25.0, 25.0, 0.0, 20.0) == 0.0
 
     def test_vanishes_with_travel(self):
-        assert oracle.peshkin_delta_beta(25.0, 25.0, 1.0, 0.0) == 0.0
+        assert peshkin_delta_beta(25.0, 25.0, 1.0, 0.0) == 0.0
 
 
 class TestPushOracleConfig:
@@ -366,7 +367,7 @@ class TestRolloutBall:
         traj = np.zeros((21, 2))
         cfg = oracle.BallOracleConfig(rollouts=5, seed=0)
         rate, max_abs = oracle.rollout_ball(
-            plan, traj, ball, B.no_uncertainty(1), cfg, 0.08, 0.02,
+            plan, traj, ball, no_uncertainty(1), cfg, 0.08, 0.02,
             np.zeros(1), (0.0, 0.0), (0.0, 0.0))
         assert rate == 1.0
         assert np.allclose(max_abs, 0.0)
@@ -377,7 +378,7 @@ class TestRolloutBall:
         traj = np.zeros((101, 2))
         cfg = oracle.BallOracleConfig(rollouts=5, seed=0)
         rate, _ = oracle.rollout_ball(
-            plan, traj, ball, B.no_uncertainty(1), cfg, 0.08, 0.02,
+            plan, traj, ball, no_uncertainty(1), cfg, 0.08, 0.02,
             np.zeros(1), (0.0, 0.0), (0.9, 1.0))
         assert rate < 1.0
 
@@ -385,7 +386,7 @@ class TestRolloutBall:
         ball = B.tennis_ball()
         plan = tuple([TiltRate.of([0.5])] * 10)
         cfg = oracle.BallOracleConfig(rollouts=2, seed=0)
-        args = (ball, B.no_uncertainty(1), cfg, 0.08, 0.02, np.zeros(1), (0.0, 0.0), (0.0, 0.0))
+        args = (ball, no_uncertainty(1), cfg, 0.08, 0.02, np.zeros(1), (0.0, 0.0), (0.0, 0.0))
         with pytest.raises(ValueError, match="plan of 10 steps is longer than its 5-step path"):
             oracle.rollout_ball(plan, np.zeros((6, 2)), *args)
         # a shorter plan rolls out as its prefix: the first 5 steps of the long path
