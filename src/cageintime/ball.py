@@ -165,50 +165,50 @@ def _axis(half_width: float, N: int) -> np.ndarray:
 
 
 class ProbGrid:
-    """Normalized probability over the 2n-dimensional (position, velocity) box,
-    stored on its support.
-
-    cells (M, 2n) holds the integer indices of the supported cells along the
-    axes (x[, y], vx[, vy]), in C order, and p (M,) their masses; axis
-    coordinate i maps to -max + i * 2*max/(N-1). The masses must be positive
-    and are normalized on construction. values is the dense (N,)*2n view,
-    built on each access.
-    """
+    """Probability over the 2n-dimensional (position, velocity) box: the
+    product of one (x, v) belief per tilt axis, each on its support. cells
+    (M, 2) holds the (x, v) indices of the supported cells and p (M,) their
+    positive masses, normalized per axis; axis d's slice of both is
+    bounds[d]:bounds[d+1] (one slice on the line, where bounds may be left
+    out). Axis coordinate i maps to -max + i*2*max/(N-1)."""
 
     def __init__(self, n: int, N: int, x_max: float, v_max: float,
-                 cells: np.ndarray, p: np.ndarray):
+                 cells: np.ndarray, p: np.ndarray, bounds=None):
         if n not in (1, 2):
             raise ValueError("n must be 1 or 2")
         if N < 3 or N % 2 == 0:
             raise ValueError("N must be odd and at least 3")
         cells = np.asarray(cells)
         p = np.asarray(p, dtype=float)
-        if cells.ndim != 2 or cells.shape[1] != 2 * n or cells.dtype.kind not in "iu":
-            raise ValueError(f"cells must be integer indices of shape (M, {2 * n})")
+        if cells.ndim != 2 or cells.shape[1] != 2 or cells.dtype.kind not in "iu":
+            raise ValueError("cells must be integer indices of shape (M, 2)")
         if p.shape != cells.shape[:1]:
             raise ValueError("p must hold one mass per cell")
-        if len(p) == 0:
-            raise ValueError("support must be nonempty")
-        total = p.sum()
-        if not (p.min() > 0 and math.isfinite(total)):
+        bounds = np.asarray((0, len(p)) if bounds is None else bounds)
+        b = bounds.tolist()
+        if (bounds.shape != (n + 1,) or bounds.dtype.kind not in "iu" or b[0] != 0
+                or b[-1] != len(p) or sorted(set(b)) != b):
+            raise ValueError(f"bounds must split the support into {n} nonempty slices")
+        totals = [p[lo:hi].sum() for lo, hi in zip(b, b[1:])]
+        if not (p.min() > 0 and math.isfinite(sum(totals))):
             raise ValueError("masses must be positive with a finite sum")
         if cells.min() < 0 or cells.max() >= N:
             raise ValueError(f"cell indices must lie in [0, {N})")
-        self.n = n
-        self.N = N
-        self.x_max = x_max
-        self.v_max = v_max
-        self.x_axis = _axis(x_max, N)
-        self.v_axis = _axis(v_max, N)
+        self.n, self.N, self.x_max, self.v_max = n, N, x_max, v_max
+        self.x_axis, self.v_axis = _axis(x_max, N), _axis(v_max, N)
         self.cells = cells
-        self.p = p / total
-        cells.setflags(write=False)
-        self.p.setflags(write=False)
+        self.p = p / np.repeat(totals, bounds[1:] - bounds[:-1])
+        self.bounds = bounds
+        for a in (cells, self.p, bounds):
+            a.setflags(write=False)
 
     @property
     def values(self) -> np.ndarray:
-        vals = np.zeros((self.N,) * (2 * self.n))
-        vals[tuple(self.cells.T)] = self.p
+        """The dense (N,)*2n belief over (x[, y], vx[, vy]), built on each access."""
+        planes = [np.zeros((self.N, self.N)) for _ in range(self.n)]
+        for plane, lo, hi in zip(planes, self.bounds, self.bounds[1:]):
+            plane[tuple(self.cells[lo:hi].T)] = self.p[lo:hi]
+        vals = planes[0] if self.n == 1 else np.einsum("ac,bd->abcd", *planes)
         vals.setflags(write=False)
         return vals
 
@@ -220,34 +220,31 @@ class ProbGrid:
     def v_step(self) -> float:
         return 2.0 * self.v_max / (self.N - 1)
 
-    def nearest(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Indices of the cells nearest positions x and velocities v, both
-        (..., n), as unclipped floats (..., 2n) in axis order."""
-        return np.concatenate([np.rint((x + self.x_max) / self.x_step),
-                               np.rint((v + self.v_max) / self.v_step)], axis=-1)
+    def nearest(self, x: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Axis indices (unclipped floats) of the cells nearest x and v."""
+        return np.rint((x + self.x_max) / self.x_step), np.rint((v + self.v_max) / self.v_step)
 
     def support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(positions (M,n), velocities (M,n), probabilities (M,))."""
-        return self.x_axis[self.cells[:, :self.n]], self.v_axis[self.cells[:, self.n:]], self.p
+        """(positions (M,n), velocities (M,n), probabilities (M,)) of the product support."""
+        rows = np.stack(np.meshgrid(*map(np.arange, self.bounds, self.bounds[1:]),
+                                    indexing="ij"), axis=-1).reshape(-1, self.n)
+        return (self.x_axis[self.cells[rows, 0]], self.v_axis[self.cells[rows, 1]],
+                self.p[rows].prod(axis=1))
 
     @classmethod
     def box(cls, n: int, N: int, x_max: float, v_max: float,
             x_lo, x_hi, v_lo, v_hi) -> "ProbGrid":
-        """Uniform mass over cells inside the given position/velocity ranges."""
-        x_lo = np.broadcast_to(np.atleast_1d(np.asarray(x_lo, float)), (n,))
-        x_hi = np.broadcast_to(np.atleast_1d(np.asarray(x_hi, float)), (n,))
-        v_lo = np.broadcast_to(np.atleast_1d(np.asarray(v_lo, float)), (n,))
-        v_hi = np.broadcast_to(np.atleast_1d(np.asarray(v_hi, float)), (n,))
+        """Uniform mass over the cells inside the given ranges, one per axis or one for all."""
+        x_lo, x_hi, v_lo, v_hi = (np.broadcast_to(np.atleast_1d(np.asarray(r, float)), (n,))
+                                  for r in (x_lo, x_hi, v_lo, v_hi))
         ax, av = _axis(x_max, N), _axis(v_max, N)
-        masks = []
+        cells = []
         for d in range(n):
-            masks.append((ax >= x_lo[d] - 1e-12) & (ax <= x_hi[d] + 1e-12))
-        for d in range(n):
-            masks.append((av >= v_lo[d] - 1e-12) & (av <= v_hi[d] + 1e-12))
-        # the product of the per-axis index sets, in C order
-        mesh = np.meshgrid(*[np.flatnonzero(mk) for mk in masks], indexing="ij")
-        cells = np.column_stack([m.ravel() for m in mesh])
-        return cls(n, N, x_max, v_max, cells, np.ones(len(cells)))
+            xi = np.flatnonzero((ax >= x_lo[d] - 1e-12) & (ax <= x_hi[d] + 1e-12))
+            vi = np.flatnonzero((av >= v_lo[d] - 1e-12) & (av <= v_hi[d] + 1e-12))
+            cells.append(np.column_stack([xi.repeat(len(vi)), np.tile(vi, len(xi))]))
+        return cls(n, N, x_max, v_max, np.concatenate(cells), np.ones(sum(map(len, cells))),
+                   np.cumsum([0] + [len(c) for c in cells]))
 
 
 # --- plate-frame kinematics and dynamics ----------------------------------
@@ -301,9 +298,9 @@ def accel_distribution(
 
 # --- energy cage ----------------------------------------------------------
 #
-# The cage terms of one plate and those of a stack of plates (the
-# Lie-derivative probes) are the same functions: a_eff is (n,) for one plate
-# and carries leading axes for a stack.
+# The energy, its worst and expected value and the entropy of the product
+# belief sum over the axes; only the escape level couples them. a_eff is
+# (n,) for one plate, with leading axes for a stack (the probes).
 
 
 def _escape_level(a_eff: np.ndarray, half_length: float, model: EnergyModel) -> np.ndarray:
@@ -328,44 +325,47 @@ def e_max(plate: PlateState, model: EnergyModel) -> float:
     return float(_escape_level(plate.a_eff, plate.half_length, model))
 
 
-def _cell_energy(cols, x_axis: np.ndarray, v_axis: np.ndarray, a_eff: np.ndarray,
-                 model: EnergyModel) -> np.ndarray:
-    """Total cage energy (kinetic, virtual spring and tilt potential) of the
-    cells whose axis indices are cols (2n arrays), under a_eff (n,) or one
-    a_eff row per cell."""
-    n = len(cols) // 2
-    E = 0.0
-    for d in range(n):
-        x = x_axis[cols[d]]
-        E = E + (0.5 * model.k_ve * x**2 - model.mass * a_eff[..., d] * x)
-        E = E + 0.5 * model.m_eff * v_axis[cols[n + d]] ** 2
-    return E
+def _cell_energy(xi: np.ndarray, vi: np.ndarray, x_axis: np.ndarray, v_axis: np.ndarray,
+                 a_eff, model: EnergyModel) -> np.ndarray:
+    """Spring, tilt-potential and kinetic energy on one axis of the cells (xi, vi)."""
+    x = x_axis[xi]
+    return (0.5 * model.k_ve * x**2 - model.mass * a_eff * x) + 0.5 * model.m_eff * v_axis[vi] ** 2
+
+
+def _slice_sums(values: np.ndarray, bounds: np.ndarray) -> list:
+    """Sum of each slice bounds[s]:bounds[s+1] of values."""
+    b = bounds.tolist()
+    return [values[lo:hi].sum() for lo, hi in zip(b, b[1:])]
+
+
+def _over_axes(per_axis):
+    """Sum over the leading (tilt) axis; a single axis is returned as it is."""
+    return sum(per_axis[1:], per_axis[0])
 
 
 def _energy_field(grid: ProbGrid, plate: PlateState, model: EnergyModel) -> np.ndarray:
-    """Energy of every supported cell, aligned with grid.p."""
-    return _cell_energy(grid.cells.T, grid.x_axis, grid.v_axis, plate.a_eff, model)
+    """Energy of every supported cell of axis d under a_eff[d], aligned with grid.p."""
+    a_eff = plate.a_eff.repeat(grid.bounds[1:] - grid.bounds[:-1])
+    return _cell_energy(grid.cells[:, 0], grid.cells[:, 1], grid.x_axis, grid.v_axis, a_eff, model)
 
 
-def _entropies(p: np.ndarray, bounds) -> list[float]:
-    """Entropy of each slice bounds[b]:bounds[b+1] of the masses p."""
-    plogp = p * np.log(p)
-    return [float(-plogp[a:b].sum()) for a, b in zip(bounds[:-1], bounds[1:])]
+def _max_energy(grid: ProbGrid, E: np.ndarray) -> float:
+    """Worst energy of the product support: the sum of the per-axis maxima."""
+    return float(_over_axes(np.maximum.reduceat(E, grid.bounds[:-1])))
 
 
-def _lyapunov(p: np.ndarray, E: np.ndarray, bounds, k_S: float) -> list[float]:
-    """``clf_value`` of each slice of the masses p and their energies E."""
-    pE = p * E
-    return [float(pE[a:b].sum()) - k_S * S
-            for a, b, S in zip(bounds[:-1], bounds[1:], _entropies(p, bounds))]
+def _lyapunov(grid: ProbGrid, E: np.ndarray, S: float, k_S: float) -> float:
+    """``clf_value`` from the energy field E and the entropy S."""
+    return float(_over_axes(_slice_sums(grid.p * E, grid.bounds))) - k_S * S
 
 
 def entropy(grid: ProbGrid) -> float:
-    return _entropies(grid.p, (0, len(grid.p)))[0]
+    """Entropy of the product belief: the sum of the per-axis entropies."""
+    return -float(_over_axes(_slice_sums(grid.p * np.log(grid.p), grid.bounds)))
 
 
 def max_energy(grid: ProbGrid, plate: PlateState, model: EnergyModel) -> float:
-    return float(_energy_field(grid, plate, model).max())
+    return _max_energy(grid, _energy_field(grid, plate, model))
 
 
 def cbf_value(grid: ProbGrid, plate: PlateState, model: EnergyModel) -> float:
@@ -375,21 +375,15 @@ def cbf_value(grid: ProbGrid, plate: PlateState, model: EnergyModel) -> float:
 
 def clf_value(grid: ProbGrid, plate: PlateState, model: EnergyModel, k_S: float) -> float:
     """Expected energy minus weighted belief entropy."""
-    return _lyapunov(grid.p, _energy_field(grid, plate, model), (0, len(grid.p)), k_S)[0]
+    return _lyapunov(grid, _energy_field(grid, plate, model), entropy(grid), k_S)
 
 
 # --- belief propagation ---------------------------------------------------
 
-_QUAD_OFFSETS = np.arange(-3.0, 4.0)
-_QUAD_W = np.exp(-0.5 * _QUAD_OFFSETS**2)
+# 7-node rule of the standard Gaussian: node offsets (7, 1) and weights (7,)
+_QUAD_OFFSETS = np.arange(-3.0, 4.0)[:, None]
+_QUAD_W = np.exp(-0.5 * _QUAD_OFFSETS[:, 0] ** 2)
 _QUAD_W = _QUAD_W / _QUAD_W.sum()
-# tensor-product rule per plate dimension n: node offsets (7^n, n) and
-# weights (7^n,), in C order over the dimensions
-_QUAD_RULES = {
-    n: (np.stack(np.meshgrid(*[_QUAD_OFFSETS] * n, indexing="ij"), axis=-1).reshape(-1, n),
-        functools.reduce(np.multiply.outer, [_QUAD_W] * n).ravel())
-    for n in (1, 2)
-}
 
 
 def _step_beliefs(
@@ -400,47 +394,49 @@ def _step_beliefs(
     unc: UncertaintyModel,
     dt: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The belief step of ``propagate_prob`` from one grid under B plates at
-    once, given by their tilts and a_eff (B, n).
+    """The belief step of ``propagate_prob`` from one grid under R plates at
+    once, given by their tilts and a_eff (R, n): slice d * R + r is axis d
+    stepped under plate r. Deposits are keyed by destination cell in C order
+    over (n * R, N, N), so one sort and one ``np.bincount`` serve every
+    slice: bincount sums each key's deposits in input order, which within a
+    slice is the order of its own step. Returns the sorted keys of the kept
+    cells, their masses (not normalized), the bounds (n * R + 1,) of each
+    slice of both, and each slice's lost mass.
 
-    Deposits are keyed by destination cell in C order over (B,) + (N,)*2n,
-    so plate b's keys are offset by b * N^2n and one sort and one
-    ``np.bincount`` serve every plate: bincount sums each key's deposits in
-    input order, which within a plate is the order of its own step. Returns
-    the sorted keys of the kept cells, their masses (not normalized), the
-    bounds (B+1,) of each plate's slice of both, and the lost mass (B,).
-
-    Each plate fails as its own step would, and the first in order first:
+    Each slice fails as its own step would, and the first in order first:
     on its tilt (|tilt| >= pi/2, ValueError) before its step, or with
     ``AllMassLost`` when its whole belief leaves the box.
     """
-    n, N = grid.n, grid.N
-    B = len(tilt)
-    xs, vs, ps = grid.support()
-    mu, var = accel_distribution(vs, _Plates(tilt[:, None], a_eff[:, None]), ball, unc)  # (B, M, n)
+    n, N, R = grid.n, grid.N, len(tilt)
+    b = grid.bounds.tolist()
+    M = max(hi - lo for lo, hi in zip(b, b[1:]))
+    # (M, n): row m holds each axis's m-th cell, the axes side by side
+    if b[-1] == n * M:  # no padding, as on the line
+        cells, ps = grid.cells.reshape(n, M, 2).transpose(1, 0, 2), grid.p.reshape(n, M).T
+    else:  # past an axis's support, massless copies of its last cell
+        rows = np.arange(M)[:, None] + grid.bounds[:-1]
+        past, rows = rows >= grid.bounds[1:], np.minimum(rows, grid.bounds[1:] - 1)
+        cells, ps = grid.cells[rows], np.where(past, 0.0, grid.p[rows])
+    xs, vs = grid.x_axis[cells[..., 0]], grid.v_axis[cells[..., 1]]
+    mu, var = accel_distribution(vs, _Plates(tilt[:, None], a_eff[:, None]), ball, unc)  # (R, M, n)
 
-    offs, wts = _QUAD_RULES[n]
-    nodes = mu[:, :, None, :] + offs * np.sqrt(var)[:, :, None, :]  # (B, M, Q, n)
-    v_new = vs[:, None, :] + nodes * dt
-    x_new = np.broadcast_to(xs[:, None, :] + vs[:, None, :] * dt, v_new.shape)
-    idx = grid.nearest(x_new, v_new)
-    inside = (idx >= 0) & (idx <= N - 1)
-    ok = inside[..., 0]
-    for i in range(1, 2 * n):  # faster than all(-1) over so short an axis
-        ok = ok & inside[..., i]
-    mass = np.multiply(ps[:, None], wts, out=np.empty(ok.shape))  # (B, M, Q)
-    lost = np.zeros(B) if ok.all() else np.array([m[~o].sum() for m, o in zip(mass, ok)])
+    nodes = mu[:, :, None, :] + _QUAD_OFFSETS * np.sqrt(var)[:, :, None, :]  # (R, M, Q, n)
+    # one Euler step: the position of each cell, the velocity of each node
+    xi, vi = grid.nearest(xs + vs * dt, vs[:, None, :] + nodes * dt)
+    ok = ((xi >= 0) & (xi <= N - 1))[:, None, :] & (vi >= 0) & (vi <= N - 1)
+    mass = np.multiply(ps[:, None, :], _QUAD_W[:, None], out=np.empty(ok.shape))
+    lost = (np.zeros(n * R) if ok.all() else
+            np.array([mass[r, ..., d][~ok[r, ..., d]].sum() for d in range(n) for r in range(R)]))
     if lost.max() >= 1.0 - 1e-12 or np.abs(tilt).max() >= math.pi / 2:
-        for b in range(B):
-            _check_tilt(tilt[b])
-            if lost[b] >= 1.0 - 1e-12:
+        for s in range(n * R):
+            _check_tilt(tilt[s % R, s // R])
+            if lost[s] >= 1.0 - 1e-12:
                 raise AllMassLost("all probability mass left the state box")
 
-    # C-order keys over (B,) + (N,)*2n as floats, exact below 2**53; plate b's
-    # keys start at starts[b]
-    places = float(N) ** np.arange(2 * n - 1, -1, -1)
-    starts = np.arange(B + 1) * float(N) ** (2 * n)
-    deposits = (idx @ places + starts[:-1, None, None])[ok]
+    # C-order keys over (n * R, N, N) as floats, exact below 2**53; slice s's
+    # keys start at starts[s]
+    starts = np.arange(n * R + 1) * float(N * N)
+    deposits = ((xi * N)[:, None, :] + vi + starts[:-1].reshape(n, R).T[:, None, None])[ok]
     # np.unique with its inverse costs about twice this sort and search
     keys = np.sort(deposits)
     new = np.empty(len(keys), dtype=bool)
@@ -464,16 +460,17 @@ def propagate_prob(
 ) -> tuple[ProbGrid, float]:
     """One belief step under the already-advanced plate state.
 
-    Each supported cell spreads its mass over a 7-node-per-dimension
-    deterministic quadrature of its Gaussian acceleration (the mean and the
-    per-axis variance from ``accel_distribution``), deposited at the
-    nearest destination cell of one Euler step. Mass leaving the box is
-    returned as lost_mass; cells below 1e-3 of the peak are pruned before
-    renormalizing. The step is ``_step_beliefs`` under a stack of one plate.
+    Each axis's cell spreads its mass over a 7-node quadrature of its
+    Gaussian acceleration (``accel_distribution``), deposited at the nearest
+    cell of one Euler step. Each axis prunes its cells below 1e-3 of its
+    peak, which keeps every cell joint pruning would, and renormalizes. The
+    lost mass is the joint belief's, 1 - prod(1 - lost_d). The step is
+    ``_step_beliefs`` under a stack of one plate.
     """
-    keys, mass, _, lost = _step_beliefs(grid, plate.tilt[None], plate.a_eff[None], ball, unc, dt)
-    cells = np.column_stack(np.unravel_index(keys, (grid.N,) * (2 * grid.n)))
-    return ProbGrid(grid.n, grid.N, grid.x_max, grid.v_max, cells, mass), float(lost[0])
+    keys, mass, ends, lost = _step_beliefs(grid, plate.tilt[None], plate.a_eff[None], ball, unc, dt)
+    _, x, v = np.unravel_index(keys, (grid.n, grid.N, grid.N))
+    stepped = ProbGrid(grid.n, grid.N, grid.x_max, grid.v_max, np.column_stack((x, v)), mass, ends)
+    return stepped, functools.reduce(lambda a, b: a + (1.0 - a) * b, lost.tolist())
 
 
 # --- Lie derivatives and the control loop ---------------------------------
@@ -494,36 +491,33 @@ def lie_derivatives(
     +-eps on each axis.
 
     A probe is a ``ball_step`` followed by the ``clf_value`` of its belief.
-    The 2n+1 probes run as one stacked belief step (``_step_beliefs``) and
-    one energy field over their concatenated supports; each probe's
-    reductions run on its own slice with the numpy calls of the single
-    step, so every probe's barrier and Lyapunov value equal its
-    ``ball_step``'s to the bit. A probe fails as its ``ball_step`` would.
+    A rate on axis d moves only axis d's belief, so the probes are one
+    stacked belief step (``_step_beliefs``) of each axis under the rates 0,
+    +eps and -eps, and one energy field. Each slice is reduced, and the axes
+    summed, with the numpy calls of the single step, so every probe's
+    barrier and Lyapunov value equal its ``ball_step``'s to the bit, and a
+    probe fails as its ``ball_step`` would.
     """
     n = plate.n
     dt, eps = params.dt, params.eps
-    rates = np.zeros((2 * n + 1, n))  # 0, then +eps and -eps on each axis
-    for d in range(n):
-        rates[1 + 2 * d, d] = eps
-        rates[2 + 2 * d] = -rates[1 + 2 * d]
-    tilt = plate.tilt + rates * dt
+    tilt = plate.tilt + np.array([[0.0], [eps], [-eps]]) * dt  # (3, n)
     a_eff = _in_plane_accel(tilt, plate.accel)
     keys, mass, bounds, _ = _step_beliefs(grid, tilt, a_eff, ball, unc, dt)
-    probe, *cols = np.unravel_index(keys, (len(rates),) + (grid.N,) * (2 * n))
-    E = _cell_energy(cols, grid.x_axis, grid.v_axis, a_eff[probe], model)
-    # each probe's belief normalized on its own, as ProbGrid does
-    totals = np.array([mass[a:b].sum() for a, b in zip(bounds[:-1], bounds[1:])])
-    p = mass / totals.repeat(bounds[1:] - bounds[:-1])
-    h_probe = _escape_level(a_eff, plate.half_length, model) - np.maximum.reduceat(E, bounds[:-1])
-    V_probe = _lyapunov(p, E, bounds, params.k_S)
-    Lf_h = (h_probe[0] - h) / dt
-    Lf_V = (V_probe[0] - V) / dt
-    Lg_h = np.zeros(n)
-    Lg_V = np.zeros(n)
-    for d in range(n):
-        Lg_h[d] = (h_probe[1 + 2 * d] - h_probe[2 + 2 * d]) / (2.0 * eps * dt)
-        Lg_V[d] = (V_probe[1 + 2 * d] - V_probe[2 + 2 * d]) / (2.0 * eps * dt)
-    return float(Lf_h), Lg_h, Lf_V, Lg_V
+    slices, xi, vi = np.unravel_index(keys, (3 * n, grid.N, grid.N))
+    E = _cell_energy(xi, vi, grid.x_axis, grid.v_axis, a_eff.T.ravel()[slices], model)
+    # each slice's belief normalized on its own, as ProbGrid does
+    p = mass / np.repeat(_slice_sums(mass, bounds), bounds[1:] - bounds[:-1])
+    per_slice = np.array([np.maximum.reduceat(E, bounds[:-1]), _slice_sums(p * E, bounds),
+                          _slice_sums(p * np.log(p), bounds)])
+    # probe k's slice on axis d: 3d at rate 0, 3d + 1 and 3d + 2 in probes 1 + 2d and 2 + 2d
+    cols = 3 * np.arange(n) + np.array(
+        [[0] * n] + [[r * (e == d) for e in range(n)] for d in range(n) for r in (1, 2)])
+    top, pE, plogp = _over_axes(per_slice[:, cols].transpose(2, 0, 1))  # each (2n+1,)
+    h_probe = _escape_level(a_eff.T.ravel()[cols], plate.half_length, model) - top
+    V_probe = pE + params.k_S * plogp  # the entropy is -plogp
+    # central differences of the probes +eps and -eps of each axis
+    return (float((h_probe[0] - h) / dt), (h_probe[1::2] - h_probe[2::2]) / (2.0 * eps * dt),
+            float((V_probe[0] - V) / dt), (V_probe[1::2] - V_probe[2::2]) / (2.0 * eps * dt))
 
 
 def trajectory_accels(positions: np.ndarray, dt: float) -> np.ndarray:
@@ -617,10 +611,12 @@ def dynamic_control(
     log = RunLog()
     steps: list = []
     result = VerificationResult(True)
+    S = entropy(grid)
     for t in range(T):
         plate = replace(plate, accel=accels[t])
-        h = cbf_value(grid, plate, model)
-        V = clf_value(grid, plate, model, params.k_S)
+        E = _energy_field(grid, plate, model)  # one field for cbf_value and clf_value
+        emax, top = e_max(plate, model), _max_energy(grid, E)
+        h, V = emax - top, _lyapunov(grid, E, S, params.k_S)
         u = np.zeros(n)
         failed = None
         sol = None
@@ -640,13 +636,13 @@ def dynamic_control(
             else:
                 u = sol.dtheta
                 grid, plate, record = ball_step(grid, plate, u, ball, unc, model, dt)
+                S = entropy(grid)
         except AllMassLost:  # from a probe or the step
             failed = FailureReason.AllMassLost
         if failed is not None:
             # the step is not taken, so the plan ends before it; its record
             # stays in the log and reports the cage at the current state
-            record = {"E_max": e_max(plate, model), "max_E": max_energy(grid, plate, model),
-                      "lost_mass": 0.0, "contained": False}
+            record = {"E_max": emax, "max_E": top, "lost_mass": 0.0, "contained": False}
         else:
             steps.append(TiltRate.of(u))
             if record["lost_mass"] > 1e-3:
@@ -654,8 +650,9 @@ def dynamic_control(
             if not record["contained"]:
                 failed = FailureReason.EscapedCage
         record.update(
-            t=t, action={"dtheta": u.tolist()}, pss_cells=len(grid.p),
-            cage_center=traj[t + 1, :n].tolist(), h=h, V=V, entropy=entropy(grid),
+            t=t, action={"dtheta": u.tolist()},
+            pss_cells=math.prod((grid.bounds[1:] - grid.bounds[:-1]).tolist()),
+            cage_center=traj[t + 1, :n].tolist(), h=h, V=V, entropy=S,
             dtheta=u.tolist(), tilt=plate.tilt.tolist(),
             qp_active=list(sol.active) if sol is not None else [],
         )
@@ -727,17 +724,14 @@ def default_uncertainty(n: int) -> UncertaintyModel:
 
 def balancing_setup(
     n: int = 1,
-    N: Optional[int] = None,
+    N: int = 81,
     half_length: float = 0.08,
     v_max: float = 1.0,
     k_ve: float = 10.0,
     beta_max: float = ControlParams.beta_max,
 ) -> TaskSetup:
     """Balancing task: belief uniform over 4 mm and 0.02 m/s around rest at
-    the plate center, on N cells per axis (by default 81 on the line and 31
-    on the square plate, whose belief is 4-D)."""
-    if N is None:
-        N = 81 if n == 1 else 31
+    the plate center, on N cells per axis."""
     b = tennis_ball()
     grid = ProbGrid.box(n, N, half_length, v_max, -0.004, 0.004, -0.02, 0.02)
     model = EnergyModel(k_ve=k_ve, m_eff=b.m_eff, mass=b.mass)

@@ -62,8 +62,12 @@ def render_push_frame(
 
 def render_prob_frame(grid: ProbGrid) -> FrameImage:
     """Belief mass over the grid's first two axes, mapped linearly to gray by
-    mass / peak mass: the (x, v) plane for n=1 and the position marginal for
-    n=2."""
+    mass / peak mass: the (x, v) plane for n=1 and, for n=2, the position
+    marginal, the outer product of the per-axis position marginals."""
     plane = np.zeros((grid.N, grid.N))
-    np.add.at(plane, (grid.cells[:, 0], grid.cells[:, 1]), grid.p)
+    if grid.n == 1:
+        plane[grid.cells[:, 0], grid.cells[:, 1]] = grid.p
+    else:
+        plane += np.outer(*(np.bincount(grid.cells[a:b, 0], grid.p[a:b], grid.N)
+                            for a, b in zip(grid.bounds, grid.bounds[1:])))
     return FrameImage(np.round(255.0 * plane / plane.max()).astype(np.uint8))

@@ -1,17 +1,22 @@
 """Dense reference for the ball belief.
 
-The belief used to be stored as a full (N,)*2n array. These functions keep
-that implementation of the grid constructors, the energy cage terms and the
-one-step propagation, reading only ``grid.values`` and the grid geometry, so
-the support-stored ``ball.ProbGrid`` can be checked against them. ``grid``
+The belief used to be stored as a full (N,)*2n array, and on the square
+plate stepped as one 4-D belief under a 49-node tensor quadrature, pruned on
+the joint grid. These functions keep that implementation of the grid
+constructors, the energy cage terms, the one-step propagation and the
+Lie-derivative probes, reading only ``grid.values`` and the grid geometry,
+so the per-axis ``ball.ProbGrid`` can be checked against them. ``grid``
 builds a ``ProbGrid`` from such a dense array, and ``delta`` a point mass.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from cageintime import ball as B
+from cageintime.core import AllMassLost
 
 
 def axes(grid: B.ProbGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -20,10 +25,21 @@ def axes(grid: B.ProbGrid) -> tuple[np.ndarray, np.ndarray]:
 
 
 def grid(n, N, x_max, v_max, values) -> B.ProbGrid:
-    """The grid holding the nonzero entries of the dense (N,)*2n array values."""
+    """The grid holding the nonzero entries of the dense (N,)*2n array values:
+    for n = 2 the product of its per-axis (x_d, v_d) marginals, which is
+    values itself when values is a product."""
     values = np.asarray(values, dtype=float)
-    cells = np.argwhere(values)
-    return B.ProbGrid(n, N, x_max, v_max, cells, values[tuple(cells.T)])
+    planes = [values] if n == 1 else [values.sum(axis=(1, 3)), values.sum(axis=(0, 2))]
+    cells = [np.argwhere(plane) for plane in planes]
+    return B.ProbGrid(n, N, x_max, v_max, np.concatenate(cells),
+                      np.concatenate([plane[tuple(c.T)] for plane, c in zip(planes, cells)]),
+                      np.cumsum([0] + [len(c) for c in cells]))
+
+
+def product(*planes) -> np.ndarray:
+    """The dense belief over (x[, y], vx[, vy]) of per-axis (x, v) planes."""
+    vals = planes[0] if len(planes) == 1 else np.multiply.outer(*planes).transpose(0, 2, 1, 3)
+    return np.ascontiguousarray(vals)
 
 
 def delta_values(n, N, x_max, v_max, x, v) -> np.ndarray:
@@ -71,22 +87,34 @@ def energy_field(grid: B.ProbGrid, plate: B.PlateState, model: B.EnergyModel) ->
     return E
 
 
-def entropy(grid: B.ProbGrid) -> float:
-    vals = grid.values
+def _entropy(vals: np.ndarray) -> float:
     p = vals[vals > 0]
     return float(-np.sum(p * np.log(p)))
 
 
+def _max_energy(vals, E) -> float:
+    return float(E[vals > 0].max())
+
+
+def _clf_value(vals, E, k_S) -> float:
+    return float(np.sum(vals * E)) - k_S * _entropy(vals)
+
+
+def entropy(grid: B.ProbGrid) -> float:
+    return _entropy(grid.values)
+
+
 def max_energy(grid, plate, model) -> float:
-    return float(energy_field(grid, plate, model)[grid.values > 0].max())
+    return _max_energy(grid.values, energy_field(grid, plate, model))
 
 
 def clf_value(grid, plate, model, k_S) -> float:
-    return float(np.sum(grid.values * energy_field(grid, plate, model))) - k_S * entropy(grid)
+    return _clf_value(grid.values, energy_field(grid, plate, model), k_S)
 
 
 def propagate(grid, plate, ball, unc, dt) -> tuple[np.ndarray, float, int]:
-    """(normalized dense belief after one step, lost mass, pruned cells)."""
+    """(normalized dense belief after one step, lost mass, pruned cells);
+    AllMassLost when the whole belief leaves the box."""
     n, N = grid.n, grid.N
     vals = grid.values
     idx = np.nonzero(vals)
@@ -121,6 +149,8 @@ def propagate(grid, plate, ball, unc, dt) -> tuple[np.ndarray, float, int]:
     ok = np.all((xi >= 0) & (xi <= N - 1) & (vi >= 0) & (vi <= N - 1), axis=2)
     mass = ps[:, None] * np.broadcast_to(w[None, :], (M, len(w)))
     lost = float(mass[~ok].sum())
+    if lost >= 1.0 - 1e-12:
+        raise AllMassLost("all probability mass left the state box")
     flat = np.zeros(N ** (2 * n))
     cells = np.concatenate([xi[ok], vi[ok]], axis=1).astype(int)
     lin = np.zeros(len(cells), dtype=int)
@@ -130,3 +160,12 @@ def propagate(grid, plate, ball, unc, dt) -> tuple[np.ndarray, float, int]:
     low = (flat > 0) & (flat < 1e-3 * flat.max())
     flat[low] = 0.0
     return (flat / flat.sum()).reshape((N,) * (2 * n)), lost, int(low.sum())
+
+
+def probe(grid, plate, u, ball, unc, model, params) -> tuple[float, float]:
+    """(h, V) after one dense step under the tilt rate u: one probe of
+    ``ball.lie_derivatives``, failing as its step does."""
+    plate = replace(plate, tilt=plate.tilt + np.asarray(u, dtype=float) * params.dt)
+    vals, _, _ = propagate(grid, plate, ball, unc, params.dt)
+    E = energy_field(grid, plate, model)
+    return B.e_max(plate, model) - _max_energy(vals, E), _clf_value(vals, E, params.k_S)

@@ -1,13 +1,14 @@
-"""Per-probe reference for the Lie-derivative probes.
+"""Per-probe reference for the Lie-derivative probes on the line plate.
 
 ``ball.lie_derivatives`` used to step each of its 2n+1 probes on its own: a
 ``ball_step`` per probe (a fresh ``PlateState``, a ``propagate_prob`` and the
 cage terms ``e_max`` and ``max_energy``), then a ``clf_value`` of the stepped
 belief. This module keeps that loop together with the belief step and the
-cage terms it ran, as they were, reading only the grid's support, the
-plate's tilt, acceleration and a_eff, and the ball and noise parameters. The
-stacked ``ball.lie_derivatives`` is checked against it bit for bit, and the
-single ``ball.propagate_prob`` too.
+cage terms it ran, as they were for n = 1, reading only the grid's support,
+the plate's tilt, acceleration and a_eff, and the ball and noise parameters.
+The stacked ``ball.lie_derivatives`` is checked against it bit for bit, and
+the single ``ball.propagate_prob`` too. The square plate's probes are
+checked against the 4-D reference in ``dense_belief``.
 """
 
 from __future__ import annotations
@@ -23,11 +24,6 @@ from cageintime.core import AllMassLost
 _QUAD_OFFSETS = np.arange(-3.0, 4.0)
 _QUAD_W = np.exp(-0.5 * _QUAD_OFFSETS**2)
 _QUAD_W = _QUAD_W / _QUAD_W.sum()
-_QUAD_RULES = {
-    1: (_QUAD_OFFSETS[:, None], _QUAD_W),
-    2: (np.stack(np.meshgrid(_QUAD_OFFSETS, _QUAD_OFFSETS, indexing="ij"), axis=-1).reshape(-1, 2),
-        np.multiply.outer(_QUAD_W, _QUAD_W).ravel()),
-}
 
 
 def inplane_jacobian(plate: B.PlateState) -> np.ndarray:
@@ -55,12 +51,7 @@ def accel_distribution(v, plate, ball, unc):
 def e_max(plate, model) -> float:
     a_eff = plate.a_eff
     l = plate.half_length
-    if plate.n == 1:
-        return 0.5 * model.k_ve * l * l - model.mass * abs(float(a_eff[0])) * l
-    free = np.clip(model.mass * a_eff / model.k_ve, -l, l)
-    b = np.array([[free[0], l], [free[0], -l], [l, free[1]], [-l, free[1]]])
-    stat = 0.5 * model.k_ve * np.sum(b * b, axis=1) - model.mass * (b @ a_eff)
-    return float(stat.min())
+    return 0.5 * model.k_ve * l * l - model.mass * abs(float(a_eff[0])) * l
 
 
 def energy_field(grid, plate, model) -> np.ndarray:
@@ -93,7 +84,7 @@ def propagate_prob(grid, plate, ball, unc, dt):
     xs, vs, ps = grid.support()
     mu, var = accel_distribution(vs, plate, ball, unc)
     sig = np.sqrt(var)
-    offs, wts = _QUAD_RULES[n]
+    offs, wts = _QUAD_OFFSETS[:, None], _QUAD_W
     nodes = mu[:, None, :] + offs[None, :, :] * sig[:, None, :]
     v_new = vs[:, None, :] + nodes * dt
     x_new = np.broadcast_to(xs[:, None, :] + vs[:, None, :] * dt, v_new.shape)

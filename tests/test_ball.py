@@ -177,7 +177,8 @@ class TestEnergy:
 
     @pytest.mark.parametrize("n,N", [(1, 41), (2, 11)])
     def test_field_matches_energy_on_support(self, n, N):
-        # energy() is the reference the vectorised cage field must reproduce
+        # energy() is the reference the vectorised cage field must reproduce,
+        # on each axis's cells under that axis's a_eff
         rng = np.random.default_rng(11)
         for _ in range(10):
             shape = (N,) * (2 * n)
@@ -191,10 +192,9 @@ class TestEnergy:
             field = B._energy_field(g, plate, MODEL)
             ax, av = g.x_axis, g.v_axis
             assert field.shape == g.p.shape
-            for idx, e in zip(g.cells, field):
-                x = [ax[i] for i in idx[:n]]
-                v = [av[i] for i in idx[n:]]
-                assert abs(e - energy(x, v, a_eff, MODEL)) <= 1e-12
+            for d, (a, b) in enumerate(zip(g.bounds[:-1], g.bounds[1:])):
+                for (i, j), e in zip(g.cells[a:b], field[a:b]):
+                    assert abs(e - energy(ax[i], av[j], a_eff[d], MODEL)) <= 1e-12
 
 
 class TestEMax:
@@ -246,6 +246,15 @@ class TestEMax:
         assert 0 < clipped < 20
 
 
+def _assert_dense_values(grid, want):
+    """grid.values is want: to the bit on the line, and to rounding on the
+    square plate, whose masses are products of the per-axis masses."""
+    if grid.n == 1:
+        assert np.array_equal(grid.values, want)
+    else:
+        assert np.abs(grid.values - want).max() <= 1e-15 * want.max()
+
+
 class TestProbGrid:
     def test_normalized_on_construction(self):
         g = D.grid(1, 5, 0.1, 1.0, np.full((5, 5), 3.0))
@@ -265,6 +274,30 @@ class TestProbGrid:
         other = B.ProbGrid(1, 5, 0.1, 1.0, cells[:1], np.ones(1))
         assert other.x_axis is g.x_axis and not g.x_axis.flags.writeable
 
+    def test_constructor_normalizes_each_axis(self):
+        cells = np.array([[1, 2], [3, 4], [0, 4]])
+        g = B.ProbGrid(2, 5, 0.1, 1.0, cells, np.array([1.0, 3.0, 4.0]), np.array([0, 2, 3]))
+        assert np.array_equal(g.p, [0.25, 0.75, 1.0])
+        assert np.array_equal(g.bounds, [0, 2, 3]) and not g.bounds.flags.writeable
+        assert g.values.shape == (5,) * 4 and g.values[1, 0, 2, 4] == 0.25
+        xs, vs, ps = g.support()  # the product support, in C order over the axes
+        assert np.array_equal(ps, [0.25, 0.75])
+        assert np.array_equal(xs, g.x_axis[[[1, 0], [3, 0]]])
+        assert np.array_equal(vs, g.v_axis[[[2, 4], [4, 4]]])
+
+    @pytest.mark.parametrize("n,bounds", [
+        (2, [0, 1]),  # one slice for two axes
+        (1, [0, 1, 3]),
+        (2, [0, 3, 3]),  # an axis without support
+        (2, [0, 2, 2]),  # the slices miss the last cell
+        (2, [1, 2, 3]),
+        (2, [0.0, 1.0, 3.0]),  # not integer
+    ])
+    def test_constructor_rejects_bounds(self, n, bounds):
+        with pytest.raises(ValueError):
+            B.ProbGrid(n, 5, 0.1, 1.0, np.array([[1, 2], [3, 4], [0, 4]]), np.ones(3),
+                       np.asarray(bounds))
+
     @pytest.mark.parametrize("n,N,cells,p", [
         (3, 5, [[1, 2, 1, 2, 1, 2]], [1.0]),  # n outside {1, 2}
         (0, 5, np.zeros((1, 0), int), [1.0]),
@@ -275,8 +308,8 @@ class TestProbGrid:
         (1, 5, [[1, 2], [3, 4]], [1.0, -0.5]),  # negative mass
         (1, 5, [[1, 2]], [np.nan]),
         (1, 5, [[1, 2]], [np.inf]),
-        (1, 5, [[1, 2, 3]], [1.0]),  # cells not (M, 2n)
-        (2, 5, [[1, 2]], [1.0]),
+        (1, 5, [[1, 2, 3]], [1.0]),  # cells not (M, 2)
+        (2, 5, [[1, 2]], [1.0]),  # no bounds, so one slice for two axes
         (1, 5, [1, 2], [1.0, 1.0]),
         (1, 5, [[1.0, 2.0]], [1.0]),  # cells not integer
         (1, 5, [[1, 2]], [1.0, 1.0]),  # not one mass per cell
@@ -296,12 +329,14 @@ class TestProbGrid:
 
     @pytest.mark.parametrize("n,N", [(1, 41), (2, 11)])
     def test_dense_round_trip(self, n, N):
+        # a product belief, one random (x, v) plane per axis
         rng = np.random.default_rng(7)
-        shape = (N,) * (2 * n)
-        vals = rng.random(shape) * (rng.random(shape) < 0.1)
+        planes = [rng.random((N, N)) * (rng.random((N, N)) < 0.1) for _ in range(n)]
+        vals = D.product(*planes)
         g = D.grid(n, N, 0.08, 1.0, vals)
-        assert np.array_equal(g.values, vals / vals.sum())
-        assert np.array_equal(g.cells, np.argwhere(vals))
+        _assert_dense_values(g, vals / vals.sum())
+        for plane, a, b in zip(planes, g.bounds[:-1], g.bounds[1:]):
+            assert np.array_equal(g.cells[a:b], np.argwhere(plane))
 
     @pytest.mark.parametrize("n,N", [(1, 81), (2, 31)])
     def test_box_matches_dense_construction(self, n, N):
@@ -311,8 +346,10 @@ class TestProbGrid:
         for x_lo, x_hi, v_lo, v_hi in boxes:
             ref = D.box_values(n, N, 0.08, 1.0, x_lo, x_hi, v_lo, v_hi)
             g = B.ProbGrid.box(n, N, 0.08, 1.0, x_lo, x_hi, v_lo, v_hi)
-            assert np.array_equal(g.values, ref / ref.sum())
-            assert np.array_equal(g.cells, np.argwhere(ref))
+            _assert_dense_values(g, ref / ref.sum())
+            dense = D.grid(n, N, 0.08, 1.0, ref)
+            assert np.array_equal(g.cells, dense.cells)
+            assert np.array_equal(g.bounds, dense.bounds)
         with pytest.raises(ValueError):
             B.ProbGrid.box(n, N, 0.08, 1.0, 0.01, -0.01, 0.0, 0.1)
 
@@ -443,18 +480,18 @@ class TestPropagateProb:
 class TestSupportMatchesDense:
     @pytest.mark.parametrize("n,N", [(1, 41), (2, 11)])
     def test_cage_terms_and_propagation(self, n, N):
-        # the dense implementation the support-stored grid replaced; a wide
+        # the dense implementation the support-stored grid replaced, and on
+        # the square plate the 4-D belief stepped and pruned as one; a wide
         # acceleration noise spreads each cell over several destinations so
         # that low tails are pruned, and cells near the box edge lose mass
         rng = np.random.default_rng(17)
         unc = B.UncertaintyModel(0.2, 25.0 * np.eye(n + 1), 1.0)
-        pruned, lost_total = 0, 0.0
+        pruned, lost_total, kept_more = 0, 0.0, 0
         for _ in range(20):
-            shape = (N,) * (2 * n)
-            vals = rng.random(shape) * (rng.random(shape) < 0.1)
-            if vals.sum() == 0:
+            planes = [rng.random((N, N)) * (rng.random((N, N)) < 0.1) for _ in range(n)]
+            if not all(plane.any() for plane in planes):
                 continue
-            g = D.grid(n, N, 0.08, 1.0, vals)
+            g = D.grid(n, N, 0.08, 1.0, D.product(*planes))
             plate = B.PlateState(n, 0.08, rng.uniform(-0.5, 0.5, n),
                                  rng.uniform(-1, 1, n + 1))
             assert abs(B.max_energy(g, plate, MODEL) - D.max_energy(g, plate, MODEL)) <= 1e-12
@@ -464,11 +501,18 @@ class TestSupportMatchesDense:
             out, lost = B.propagate_prob(g, plate, TB, unc, 0.02)
             ref, ref_lost, ref_pruned = D.propagate(g, plate, TB, unc, 0.02)
             assert abs(lost - ref_lost) <= 1e-12
-            assert np.array_equal(out.cells, np.argwhere(ref))
-            assert np.abs(out.values - ref).max() <= 1e-12
+            if n == 1:
+                assert np.array_equal(out.cells, np.argwhere(ref))
+                assert np.abs(out.values - ref).max() <= 1e-12
+            else:
+                # pruned per axis, the support keeps every cell the 4-D step
+                # keeps, and the corners that joint pruning drops
+                assert np.all(out.values[ref > 0] > 0)
+                kept_more += int(np.count_nonzero(out.values)) - int(np.count_nonzero(ref))
             pruned += ref_pruned
             lost_total += lost
         assert pruned > 0 and lost_total > 0
+        assert (kept_more > 0) is (n == 2)
 
 
 def _lie_derivatives(grid, plate, ball, unc, model, params):
@@ -530,7 +574,8 @@ class TestLieDerivatives:
     @pytest.mark.parametrize("n", [1, 2])
     def test_probes_are_one_stacked_step(self, n, monkeypatch):
         # the 2n+1 probes are one call of the belief-step kernel, under the
-        # tilts one step of the rates 0, +eps e_d and -eps e_d reaches
+        # three tilts one step of the rates 0, +eps and -eps reaches on each
+        # axis
         setup = B.balancing_setup(n=n, N=31)
         plate = B.PlateState(n, 0.08, np.full(n, 0.05), np.zeros(n + 1))
         calls = []
@@ -546,10 +591,7 @@ class TestLieDerivatives:
         _lie_derivatives(setup.grid, plate, setup.ball, setup.unc, setup.model, setup.params)
         assert len(calls) == 1
         eps, dt = setup.params.eps, setup.params.dt
-        rates = np.zeros((2 * n + 1, n))
-        for d in range(n):
-            rates[1 + 2 * d, d], rates[2 + 2 * d, d] = eps, -eps
-        assert np.array_equal(calls[0], plate.tilt + rates * dt)
+        assert np.array_equal(calls[0], plate.tilt + np.array([[0.0], [eps], [-eps]]) * dt)
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -561,18 +603,26 @@ def _config_run(name):
 
 
 def _square_run():
-    # balancing_setup n=2 (N=31) under a plate that circles in the plane,
+    # balancing_setup n=2, N=31, under a plate that circles in the plane,
     # so that every probe's plate has a nonzero a_eff on both axes
-    setup = B.balancing_setup(n=2)
+    setup = B.balancing_setup(n=2, N=31)
     t = np.arange(26) * setup.params.dt
     phase = 2.0 * np.pi * t / 0.5
     return setup, np.column_stack([0.01 * np.sin(phase), 0.01 * (1.0 - np.cos(phase)),
                                    np.zeros_like(t)])
 
 
+def _spread_square_run():
+    # the same plate under an off-centre belief of several cells per axis,
+    # which moves across the grid while the planner tilts the plate
+    setup, traj = _square_run()
+    grid = B.ProbGrid.box(2, 31, 0.08, 1.0, [-0.012, 0.0], [0.012, 0.02], [-0.1, 0.05],
+                          [0.1, 0.2])
+    return replace(setup, grid=grid), traj
+
+
 PLANNED_RUNS = {
     "ball_lemniscate": lambda: _config_run("ball_lemniscate"),  # balancing_setup n=1, N=81
-    "square": _square_run,
     "ball_catch": lambda: _config_run("ball_catch"),
     "ball_rice": lambda: _config_run("ball_rice"),
 }
@@ -658,7 +708,8 @@ class TestStackedProbes:
 
     def test_random_states_match_reference(self):
         # n = 1 and n = 2, spread beliefs, tilted and accelerated plates,
-        # correlated plate noise and probes from 0.01 to 10 rad/s
+        # correlated plate noise and probes from 0.01 to 10 rad/s; the
+        # square plate's draws against the 4-D reference
         rng = np.random.default_rng(5)
         for i in range(60):
             n = 2 if i % 3 == 0 else 1
@@ -673,12 +724,81 @@ class TestStackedProbes:
             params = B.ControlParams(eps=float(rng.choice([0.01, 2.0, 10.0])))
             h = B.cbf_value(g, plate, MODEL)
             V = B.clf_value(g, plate, MODEL, params.k_S)
+            if n == 2:
+                args = (g, plate, ball, unc, MODEL, params, h, V)
+                assert _dense_misses(*args[:6])[0] == []
+                assert _same(_outcome(B.lie_derivatives, *args),
+                             _outcome(_single_step_probes, *args))
+                continue
             assert h == R.e_max(plate, MODEL) - R.max_energy(g, plate, MODEL)
             assert V == R.clf_value(g, plate, MODEL, params.k_S)
             args = (g, plate, ball, unc, MODEL, params, h, V)
             assert _same(_outcome(B.lie_derivatives, *args), _outcome(R.lie_derivatives, *args))
             step = (g, plate, ball, unc, 0.02)
             assert _same_step(_outcome(B.propagate_prob, *step), _outcome(R.propagate_prob, *step))
+
+
+@pytest.fixture(scope="module", params=["square", "square_spread"])
+def square_run(request):
+    """A square-plate run planned with the stacked probes, every probe and
+    every taken step checked against the 4-D reference and every probe
+    against its own single step, and the same run planned with each probe
+    stepped on its own."""
+    setup, traj = {"square": _square_run, "square_spread": _spread_square_run}[request.param]()
+    args = (setup.grid, traj, setup.ball, setup.unc, setup.model, setup.params,
+            setup.initial_tilt)
+    lie = B.lie_derivatives
+    probe_misses, dense_misses, equal = [], [], []
+
+    def checked_lie(*a):
+        got = lie(*a)
+        if not _same(got, _single_step_probes(*a)):
+            probe_misses.append(a)
+        misses, eq = _dense_misses(*a[:6])
+        dense_misses.extend(misses)
+        equal.append(eq)
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(B, "lie_derivatives", checked_lie)
+        stacked = B.dynamic_control(*args)
+    # each taken step, from the belief before it under the plate it stepped to
+    _, steps = _replay(setup, traj, stacked[0])
+    before = setup.grid
+    for grid, plate, _, _ in steps:
+        dense_misses.extend(_dense_step_misses(before, plate, setup.ball, setup.unc, setup.model,
+                                               setup.params.dt)[0])
+        before = grid
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(B, "lie_derivatives", _single_step_probes)
+        single = B.dynamic_control(*args)
+    return stacked, single, probe_misses, dense_misses, equal
+
+
+class TestSquarePlate:
+    """The square plate's per-axis belief along a run under a plate that
+    circles in the plane: each probe is its own single step to the bit, and
+    every probe and taken step holds the cells of the 4-D belief stepped and
+    pruned as one, with its lost mass and, where the supports agree, its
+    masses and cage terms to 1e-12."""
+
+    def test_probes_and_steps_match_dense_reference_along_run(self, square_run):
+        (_, _, log), _, probe_misses, dense_misses, equal = square_run
+        assert len(log.records) > 10
+        assert probe_misses == []
+        assert dense_misses == []
+        # the 1e-12 checks ran: most probes keep the 4-D support exactly
+        assert sum(equal) > 0.8 * 5 * len(equal)
+
+    def test_runlog_matches_single_step_probes(self, square_run):
+        (plan, result, log), (ref_plan, ref_result, ref_log), *_ = square_run
+        assert plan == ref_plan and result == ref_result
+        assert log.warnings == ref_log.warnings
+        assert len(log.records) == len(ref_log.records)
+        for rec, ref in zip(log.records, ref_log.records):
+            assert rec.keys() == ref.keys()
+            for key in ref:
+                assert rec[key] == ref[key] and type(rec[key]) is type(ref[key]), key
 
 
 def _edge_probes(n, eps, v_max, v_lo, v_hi, tilt):
@@ -690,16 +810,90 @@ def _edge_probes(n, eps, v_max, v_lo, v_hi, tilt):
     return g, plate, B.ControlParams(eps=eps)
 
 
-def _probe_outcomes(g, plate, params):
-    """Each probe of the reference on its own, in probe order."""
-    n = plate.n
+def _probe_rates(n, eps):
+    """The tilt rates of the 2n+1 probes, in probe order."""
     rates = [np.zeros(n)]
     for d in range(n):
         e = np.zeros(n)
-        e[d] = params.eps
+        e[d] = eps
         rates += [e, -e]
-    return [_outcome(R.probe, g, plate, u, TB, B.default_uncertainty(n), MODEL, params)
-            for u in rates]
+    return rates
+
+
+def _probe_outcomes(g, plate, params):
+    """Each probe of the reference on its own, in probe order: the per-probe
+    loop on the line, the 4-D reference on the square plate."""
+    n = plate.n
+    probe = R.probe if n == 1 else D.probe
+    return [_outcome(probe, g, plate, u, TB, B.default_uncertainty(n), MODEL, params)
+            for u in _probe_rates(n, params.eps)]
+
+
+def _single_step_probes(grid, plate, ball, unc, model, params, h, V):
+    """``lie_derivatives`` with each probe stepped on its own by
+    ``ball.ball_step``, as the per-probe loop did."""
+    hs, Vs = [], []
+    for u in _probe_rates(plate.n, params.eps):
+        g, p, rec = B.ball_step(grid, plate, u, ball, unc, model, params.dt)
+        hs.append(rec["E_max"] - rec["max_E"])
+        Vs.append(B.clf_value(g, p, model, params.k_S))
+    dt, eps = params.dt, params.eps
+    Lg_h = np.array([(hs[1 + 2 * d] - hs[2 + 2 * d]) / (2.0 * eps * dt) for d in range(plate.n)])
+    Lg_V = np.array([(Vs[1 + 2 * d] - Vs[2 + 2 * d]) / (2.0 * eps * dt) for d in range(plate.n)])
+    return (hs[0] - h) / dt, Lg_h, (Vs[0] - V) / dt, Lg_V
+
+
+def _dense_step_misses(grid, plate, ball, unc, model, dt):
+    """How one per-axis step of a square-plate belief differs from the 4-D
+    step: the outcome, the lost mass, any cell the 4-D step keeps and the
+    per-axis one does not, and, where both keep the same cells, the masses
+    and the cage terms of the stepped belief. Returns (misses, 1 if the
+    supports are equal else 0)."""
+    got = _outcome(B.propagate_prob, grid, plate, ball, unc, dt)
+    ref = _outcome(D.propagate, grid, plate, ball, unc, dt)
+    if isinstance(got[0], type) or isinstance(ref[0], type):
+        return ([] if got == ref else [("outcome", got, ref)]), 0
+    (out, lost), (vals, ref_lost, _) = got, ref
+    misses = []
+    if abs(lost - ref_lost) > 1e-12:
+        misses.append(("lost_mass", lost, ref_lost))
+    kept = out.values > 0
+    if np.any((vals > 0) & ~kept):
+        misses.append(("dropped a 4-D cell",))
+    if not np.array_equal(kept, vals > 0):
+        return misses, 0
+    E = D.energy_field(grid, plate, model)
+    for name, a, b in (("masses", np.abs(out.values - vals).max(), 0.0),
+                       ("max_energy", B.max_energy(out, plate, model), D._max_energy(vals, E)),
+                       ("entropy", B.entropy(out), D._entropy(vals)),
+                       ("clf_value", B.clf_value(out, plate, model, 0.002),
+                        D._clf_value(vals, E, 0.002))):
+        if abs(a - b) > 1e-12:
+            misses.append((name, a, b))
+    return misses, 1
+
+
+def _dense_misses(grid, plate, ball, unc, model, params):
+    """How a square-plate state and its 2n+1 probe steps differ from the 4-D
+    reference: the cage terms of the state, then ``_dense_step_misses`` of
+    each probe. Returns (misses, probes whose supports are equal)."""
+    misses, equal = [], 0
+    for name, a, b in (("max_energy", B.max_energy(grid, plate, model),
+                        D.max_energy(grid, plate, model)),
+                       ("entropy", B.entropy(grid), D.entropy(grid)),
+                       ("clf_value", B.clf_value(grid, plate, model, params.k_S),
+                        D.clf_value(grid, plate, model, params.k_S))):
+        if abs(a - b) > 1e-12:
+            misses.append((name, a, b))
+    for u in _probe_rates(plate.n, params.eps):
+        try:
+            probe = replace(plate, tilt=plate.tilt + u * params.dt)
+        except ValueError:  # the probe fails on its tilt before it steps
+            continue
+        step_misses, eq = _dense_step_misses(grid, probe, ball, unc, model, params.dt)
+        misses += step_misses
+        equal += eq
+    return misses, equal
 
 
 class TestOneProbeFails:

@@ -63,7 +63,7 @@ def test_rollouts_stay_in_belief_support(ball_task):
                                    setup.params.dt, oracle.BallOracleConfig.step,
                                    eta_m, eta_p, eta_mu)
     misses = [sum(cell not in {tuple(c) for c in g.cells.tolist()}
-                  for cell in map(tuple, g.nearest(x, v).astype(int).tolist()))
+                  for cell in zip(*(i[:, 0].astype(int).tolist() for i in g.nearest(x, v))))
               for g, x, v in zip(beliefs, xs, vs)]
     first = next((t for t, m in enumerate(misses) if m), None)
     assert first is None, f"first miss at step {first}, {sum(misses)} of {ROLLOUTS * len(misses)}"

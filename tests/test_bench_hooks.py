@@ -73,3 +73,27 @@ def test_oracle_verdicts_match_reference(planned):
             got = [task.oracle(plan, seed) for seed in range(3)]
             want = [(0, ref["rollouts"])] * 3
         assert got == want, task.name
+
+
+@pytest.mark.parametrize("workload", ["ball_line", "ball_square"])
+def test_traced_round_runs_with_the_observers(workload):
+    """One traced round of a ball workload, as ``--trace 1`` runs it: every
+    layer wrapped, its observers reading the planner's beliefs and the QP's
+    solutions, and the round's outputs those of the reference."""
+    tasks, spans = load("tasks"), load("spans")
+    reference = tasks.load_reference()
+    tracer = spans.Tracer()
+    for task in tasks.build(workload):
+        tracer.task = f"round0:{task.name}"
+        with spans.traced(tracer, tasks.MODULES), tracer.span(spans.ROOT):
+            out = tasks.run_task(task, tasks.REFERENCE_SEED)
+        assert tasks.deviations(out, reference[task.name], tasks.REFERENCE_SEED) == [], task.name
+    # one observation of the carried belief per step the planner took
+    steps = sum(len(reference[name]["plan"]) for name, _ in tasks.WORKLOADS[workload])
+    assert len(tracer.notes["ball.lost_mass"]) == steps
+    assert len(tracer.notes["ball.support_cells"]) == steps
+    assert min(tracer.notes["ball.support_cells"]) >= 1
+    assert len(tracer.notes["qp.infeasible"]) > 0
+    names = {span[0] for span in tracer.spans}
+    assert {"ball.dynamic_control", "ball.verify_ball_plan", "ball.lie_derivatives",
+            "ball.propagate_prob", "qp.solve", "oracle.rollout_ball"} <= names
