@@ -204,7 +204,8 @@ class ProbGrid:
 
     @property
     def values(self) -> np.ndarray:
-        """The dense (N,)*2n belief over (x[, y], vx[, vy]), built on each access."""
+        """The dense (N,)*2n belief over (x[, y], vx[, vy]), built on each access.
+        Not for use per step at n = 2: N**4 floats, 344 MB at the default N = 81."""
         planes = [np.zeros((self.N, self.N)) for _ in range(self.n)]
         for plane, lo, hi in zip(planes, self.bounds, self.bounds[1:]):
             plane[tuple(self.cells[lo:hi].T)] = self.p[lo:hi]
@@ -408,15 +409,11 @@ def _step_beliefs(
     ``AllMassLost`` when its whole belief leaves the box.
     """
     n, N, R = grid.n, grid.N, len(tilt)
-    b = grid.bounds.tolist()
-    M = max(hi - lo for lo, hi in zip(b, b[1:]))
-    # (M, n): row m holds each axis's m-th cell, the axes side by side
-    if b[-1] == n * M:  # no padding, as on the line
-        cells, ps = grid.cells.reshape(n, M, 2).transpose(1, 0, 2), grid.p.reshape(n, M).T
-    else:  # past an axis's support, massless copies of its last cell
-        rows = np.arange(M)[:, None] + grid.bounds[:-1]
-        past, rows = rows >= grid.bounds[1:], np.minimum(rows, grid.bounds[1:] - 1)
-        cells, ps = grid.cells[rows], np.where(past, 0.0, grid.p[rows])
+    # (M, n): row m holds each axis's m-th cell, the axes side by side; past
+    # an axis's support, massless copies of its last cell
+    rows = np.arange(np.diff(grid.bounds).max())[:, None] + grid.bounds[:-1]
+    past, rows = rows >= grid.bounds[1:], np.minimum(rows, grid.bounds[1:] - 1)
+    cells, ps = grid.cells[rows], np.where(past, 0.0, grid.p[rows])
     xs, vs = grid.x_axis[cells[..., 0]], grid.v_axis[cells[..., 1]]
     mu, var = accel_distribution(vs, _Plates(tilt[:, None], a_eff[:, None]), ball, unc)  # (R, M, n)
 
