@@ -83,6 +83,12 @@ class PushProblem:
             raise ValueError("margin must lie in [0, cage_size)")
         if self.shortlist < 1:
             raise ValueError("shortlist must be at least 1")
+        if self.lambda1 < 0 or self.lambda2 < 0:
+            raise ValueError(f"lambda1 and lambda2 must be non-negative, "
+                             f"got {self.lambda1} and {self.lambda2}")
+        # with both weights 0 every angle scores 0 and the lowest k is pushed
+        if self.lambda1 == 0 and self.lambda2 == 0:
+            raise ValueError("lambda1 and lambda2 must not both be 0")
 
     @property
     def R(self) -> float:
@@ -305,9 +311,36 @@ def compute_poa(pss: PSSGrid, r: float) -> PSSGrid:
     return PSSGrid(cells=dil, resolution=pss.resolution, frame_center=pss.frame_center)
 
 
-# candidate angles scored per broadcast: a (K x M) array for all K at once
-# costs more memory than the time it saves
-SCORE_BLOCK = 16
+@functools.lru_cache(maxsize=None)
+def _candidate_angles(K: int) -> tuple[np.ndarray, np.ndarray]:
+    """The candidate indices k = 1..K and angles theta_k = 2 pi k / K of
+    ``find_push``. Read-only, shared by every step with K angles."""
+    ks = np.arange(1, K + 1)
+    thetas = 2.0 * math.pi * ks / K
+    for arr in (ks, thetas):
+        arr.setflags(write=False)
+    return ks, thetas
+
+
+@functools.lru_cache(maxsize=64)
+def _normals(key: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The outward normals (cos, sin) of the angles packed in ``key`` (a
+    float64 array's bytes), from ``math.cos`` and ``math.sin`` as the
+    one-angle scorer took them; the normals' own angles atan2(sin, cos),
+    sorted, in three copies a turn apart; and the index of the angle at each
+    place of those copies. Read-only, shared by every step that scores the
+    same angles."""
+    thetas = np.frombuffer(key).tolist()
+    nx = np.array([math.cos(th) for th in thetas])
+    ny = np.array([math.sin(th) for th in thetas])
+    ang = np.arctan2(ny, nx)
+    order = np.argsort(ang, kind="stable")
+    turn = 2.0 * math.pi
+    table = (nx, ny, np.concatenate([ang[order] - turn, ang[order], ang[order] + turn]),
+             np.tile(order, 3))
+    for arr in table:
+        arr.setflags(write=False)
+    return table
 
 
 def heuristic_score(
@@ -327,6 +360,8 @@ def heuristic_score(
     cell past it. Both are normalized (by cage area and cage radius) before
     weighting; an angle with no POA cell beyond its line scores 0.
     """
+    nx, ny, turns, index = _normals(np.asarray(thetas, dtype=float).tobytes())
+    K = nx.size
     x, y = poa.world(*cell_indices(poa.cells))
     # a cell past a line tangent to the circle of radius R lies outside that
     # circle: project only the ring of cells at least R - 1e-6 from its
@@ -336,32 +371,43 @@ def heuristic_score(
     cx, cy = cage_next.center.x, cage_next.center.y
     ring = (x - cx) ** 2 + (y - cy) ** 2 >= max(R - 1e-6, 0.0) ** 2
     x, y = x[ring], y[ring]
+    # a cell at distance d and bearing phi projects d cos(theta - phi) - R
+    # onto the line at angle theta, so it is past that line only while
+    # |theta - phi| < arccos(R / d). The window |theta - phi| <=
+    # arccos((R - 1e-6) / d) + 1e-9 keeps the ring's margin: an angle outside
+    # it projects the cell to below -1e-6, and the 1e-9 rad covers the
+    # rounding of the angles. A cell at the center with R under 1e-6 gets
+    # the whole circle.
+    dx, dy = x - cx, y - cy
+    dist = np.hypot(dx, dy)
+    cos_w = np.divide(R - 1e-6, dist, out=np.full_like(dist, -1.0), where=dist > 0)
+    half = np.arccos(np.clip(cos_w, -1.0, 1.0)) + 1e-9
+    phi = np.arctan2(dy, dx)
+    # each window is a run of ``turns``, the sorted normal angles a turn
+    # apart; K places in a row hold every angle once, so a window as wide as
+    # the circle stops there
+    first = np.searchsorted(turns, phi - half, side="left")
+    counts = np.minimum(np.searchsorted(turns, phi + half, side="right") - first, K)
+    # the (cell, angle) pairs of every window, laid end to end
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
+    a = index[np.arange(total) + np.repeat(first - (ends - counts), counts)]
+    px, py = cx + R * nx, cy + R * ny
+    s = (np.repeat(x, counts) - px[a]) * nx[a] + (np.repeat(y, counts) - py[a]) * ny[a]
+    out = s > 1e-9
+    a, s = a[out], s[out]
+    n_out = np.bincount(a, minlength=K)
+    # the largest projection is past the line whenever any cell is
+    d_out = np.full(K, -math.inf)
+    np.maximum.at(d_out, a, s)
+    hit = np.flatnonzero(n_out)
+    # `** 2` on Python floats, as the one-angle scorer took it: that is C
+    # pow, which can differ in the last bit from numpy's x * x
+    d_term = np.array([(d / cage_next.radius) ** 2 for d in d_out[hit].tolist()])
     rho = poa.resolution
     cage_area = math.pi * cage_next.radius**2
-    scores = np.zeros(len(thetas))
-    s_buf = np.empty((SCORE_BLOCK, x.size))
-    t_buf = np.empty_like(s_buf)
-    for lo in range(0, len(thetas), SCORE_BLOCK):
-        block = thetas[lo : lo + SCORE_BLOCK]
-        nx = np.array([math.cos(th) for th in block])[:, None]
-        ny = np.array([math.sin(th) for th in block])[:, None]
-        px, py = cage_next.center.x + R * nx, cage_next.center.y + R * ny
-        s, t = s_buf[: len(block)], t_buf[: len(block)]
-        np.subtract(x, px, out=s)
-        s *= nx
-        np.subtract(y, py, out=t)
-        t *= ny
-        s += t  # (x - px) * nx + (y - py) * ny, one row per angle
-        n_out = np.count_nonzero(s > 1e-9, axis=1)
-        # the largest projection is past the line whenever any cell is
-        d_out = s.max(axis=1, initial=-math.inf)
-        # finish in Python floats: `** 2` there is C pow, which can differ
-        # in the last bit from numpy's x * x
-        for i, (n, d) in enumerate(zip(n_out.tolist(), d_out.tolist())):
-            if n:
-                s_out = float(n) * rho * rho
-                d_term = (d / cage_next.radius) ** 2
-                scores[lo + i] = lambda1 * (s_out / cage_area) + lambda2 * d_term
+    scores = np.zeros(K)
+    scores[hit] = lambda1 * (n_out[hit] * rho * rho / cage_area) + lambda2 * d_term
     return scores
 
 
@@ -385,8 +431,7 @@ def find_push(
     if contains_geometric(pss, cage_next):
         return None
     poa = compute_poa(pss, problem.object_radius)
-    ks = np.arange(1, problem.K + 1)
-    thetas = 2.0 * math.pi * ks / problem.K
+    ks, thetas = _candidate_angles(problem.K)
     # score against a line tangent to the triggering cage: a cell that just
     # violated containment must register as sticking out for some angle
     score_R = cage_next.radius + problem.object_radius

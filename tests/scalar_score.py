@@ -2,9 +2,10 @@
 
 ``push.heuristic_score`` used to score one candidate angle per call, and
 ``find_push`` called it K times per step. This module keeps that
-implementation; the batched ``push.heuristic_score``, which projects only
-the POA cells outside the circle of radius R, is checked against it bit for
-bit.
+implementation, which projects every POA cell onto every line. The batched
+``push.heuristic_score`` projects each POA cell outside the circle of
+radius R only onto the lines of the angles in its window, the angles it can
+lie past, and is checked against it bit for bit.
 """
 
 from __future__ import annotations

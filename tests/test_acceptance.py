@@ -22,6 +22,7 @@ from cageintime import trajectories as T
 from cageintime.core import TiltRate, Vec2
 from cageintime.push import PushProblem, plan_push, pusher_pose, segment_distance
 import dense_belief as D
+from p_controller import PControllerConfig, p_controller_rollout
 from qp_oracle import grid_search, kkt_residuals, random_instance
 from reference_terms import no_uncertainty, peshkin_delta_beta
 from scalar_oracle import exact_accel
@@ -116,8 +117,8 @@ def test_criterion_04_baseline_comparison():
     def p_mae(**kw):
         errs = []
         for s in range(20):
-            cfg = oracle.PControllerConfig(gain=1.0, seed=3000 + s, **kw)
-            pos, _ = oracle.p_controller_rollout(traj, traj[0], cfg)
+            cfg = PControllerConfig(gain=1.0, seed=3000 + s, **kw)
+            pos, _ = p_controller_rollout(traj, traj[0], cfg)
             errs.extend((p - traj[i]).norm() for i, p in enumerate(pos))
         return float(np.mean(errs))
 

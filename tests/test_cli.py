@@ -211,6 +211,27 @@ class TestConfigValidation:
         assert capsys.readouterr().err.startswith(f"error: {key} must be finite, got {value}")
         assert not out.exists()
 
+    @pytest.mark.parametrize("weights, message", [
+        ({"lambda1": -1.0}, "lambda1 and lambda2 must be non-negative, got -1.0 and 1.0"),
+        ({"lambda2": -0.5}, "lambda1 and lambda2 must be non-negative, got 1.0 and -0.5"),
+        ({"lambda1": 0.0, "lambda2": 0.0}, "lambda1 and lambda2 must not both be 0"),
+    ])
+    def test_bad_heuristic_weights_rejected(self, tmp_path, capsys, weights, message):
+        out = tmp_path / "out"
+        with open(os.path.join(CONFIGS, "push_circle.yaml")) as fh:
+            doc = yaml.safe_load(fh)
+        doc.update(weights, out=str(out))
+        path = write_config(tmp_path, "c.yaml", doc)
+        with pytest.raises(ValueError) as err:
+            build_push(load_config(path))
+        assert str(err.value) == message
+        assert cli.main(["push", "--config", path]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+        # one weight at 0 is a valid heuristic
+        doc.update(lambda1=0.0, lambda2=1.0)
+        assert build_push(load_config(write_config(tmp_path, "c.yaml", doc)))[0].lambda1 == 0.0
+
     @pytest.mark.parametrize("name, key, value", [
         ("push_circle.yaml", "radius_mm", float("inf")),
         ("push_circle.yaml", "oracle_radius_mm", float("inf")),

@@ -13,6 +13,7 @@ from cageintime.config import build_push, load_config
 from cageintime.push import PushProblem, plan_push, pusher_pose, replay
 from cageintime.trajectories import as_vec2_list, circle
 from motion_set import motion_set
+from p_controller import PControllerConfig, p_controller_rollout, p_controller_step
 from reference_terms import no_uncertainty, peshkin_delta_beta
 import scalar_oracle
 import scalar_push_oracle
@@ -296,28 +297,28 @@ class TestRolloutPushPlan:
 
 class TestPController:
     def test_zero_error_zero_push(self):
-        cfg = oracle.PControllerConfig(gain=0.5)
-        cmd = oracle.p_controller_step(Vec2(1.0, 1.0), [Vec2(1.0, 1.0)], cfg,
-                                       np.random.default_rng(0), [])
+        cfg = PControllerConfig(gain=0.5)
+        cmd = p_controller_step(Vec2(1.0, 1.0), [Vec2(1.0, 1.0)], cfg,
+                                np.random.default_rng(0), [])
         assert cmd == Vec2(0.0, 0.0)
 
     def test_proportional_law(self):
-        cfg = oracle.PControllerConfig(gain=0.5)
-        cmd = oracle.p_controller_step(Vec2(0.0, 0.0), [Vec2(10.0, 0.0)], cfg,
-                                       np.random.default_rng(0), [])
+        cfg = PControllerConfig(gain=0.5)
+        cmd = p_controller_step(Vec2(0.0, 0.0), [Vec2(10.0, 0.0)], cfg,
+                                np.random.default_rng(0), [])
         assert cmd.x == pytest.approx(5.0) and cmd.y == pytest.approx(0.0)
 
     def test_cap(self):
-        cfg = oracle.PControllerConfig(gain=0.5)
-        cmd = oracle.p_controller_step(Vec2(0.0, 0.0), [Vec2(100.0, 0.0)], cfg,
-                                       np.random.default_rng(0), [])
+        cfg = PControllerConfig(gain=0.5)
+        cmd = p_controller_step(Vec2(0.0, 0.0), [Vec2(100.0, 0.0)], cfg,
+                                np.random.default_rng(0), [])
         assert cmd.norm() == pytest.approx(20.0)
 
     def test_clean_tracking_converges(self):
         traj = as_vec2_list(circle(150.0, 120))
         traj.append(traj[0])
-        cfg = oracle.PControllerConfig()
-        positions, _ = oracle.p_controller_rollout(traj, traj[0], cfg)
+        cfg = PControllerConfig()
+        positions, _ = p_controller_rollout(traj, traj[0], cfg)
         errs = [(p - w).norm() for p, w in zip(positions, traj)]
         # non-increasing once within one cap length of the trajectory
         start = next(i for i, e in enumerate(errs) if e <= cfg.cap)

@@ -347,7 +347,50 @@ class TestHeuristicScore:
         # the cell is past the tangent line exactly when it lies outside the circle
         assert (batch[k - 1] > 0.0) == (delta > 0.0)
 
-    def test_matches_scalar_on_push_circle_plan(self, monkeypatch):
+    @pytest.mark.parametrize("R", [5e-7, 0.0, -1.5])
+    def test_score_radius_under_the_ring_slack(self, R):
+        # a 3x3 block around the cage center: every cell is in the ring, and
+        # the center cell's window (all nine at R = -1.5) spans the circle
+        cells = np.zeros((21, 21), dtype=bool)
+        cells[9:12, 9:12] = True
+        poa = PSSGrid(cells, 1.0, Vec2(0.0, 0.0))
+        cage = CageCircle(Vec2(0.0, 0.0), 4.0)
+        for lambda1, lambda2 in [(1.0, 1.0), (1.0, 0.0)]:
+            batch, scalar = self._both(poa, angles(16), cage, R, lambda1, lambda2)
+            assert np.array_equal(batch, scalar)
+        if R < 0:
+            # all nine cells are past every line, each counted once per angle
+            assert np.array_equal(batch, np.full(16, 9.0 / (math.pi * 16.0)))
+
+    def test_unsorted_duplicated_and_unreduced_thetas(self):
+        rng = np.random.default_rng(5)
+        cells = rng.random((61, 61)) < 0.02
+        poa = compute_poa(PSSGrid(cells, 1.0, Vec2(3.0, -2.0)), 4.0)
+        cage = CageCircle(Vec2(4.5, -1.0), 7.0)
+        two_pi = 2.0 * math.pi
+        # theta_K = 2 pi exactly, as find_push passes it, and its equal 0
+        thetas = np.array([two_pi, 0.0, 3.0, -1.0, 3.0, two_pi + 1.0, -two_pi,
+                           1.0, 5.0 * two_pi + 0.25, -7.5, 0.25, math.pi, -math.pi])
+        batch, scalar = self._both(poa, thetas, cage, 9.0)
+        assert np.array_equal(batch, scalar)
+        assert (batch > 0).sum() >= 6
+        assert batch[2] == batch[4]
+
+    @pytest.mark.parametrize("origin", [0.0, 1e5])
+    def test_cell_bearing_on_a_candidate_angle(self, origin):
+        # cells 50 mm (on the diagonal 40 mm along each axis) from the cage
+        # center, each on the bearing of one of the angles k pi / 4, with
+        # the window of the pi bearing across the seam of atan2
+        cells = np.zeros((121, 121), dtype=bool)
+        for i, j in [(60, 110), (110, 60), (60, 10), (10, 60), (100, 100), (20, 20)]:
+            cells[i, j] = True
+        poa = PSSGrid(cells, 1.0, Vec2(origin, origin))
+        batch, scalar = self._both(poa, angles(8), CageCircle(Vec2(origin, origin), 5.0), 45.0)
+        assert np.array_equal(batch, scalar)
+        assert list(np.flatnonzero(batch) + 1) == [1, 2, 4, 5, 6, 8]
+
+    @pytest.mark.parametrize("name", ["push_circle.yaml", "push_lemniscate.yaml"])
+    def test_matches_scalar_on_push_circle_plan(self, monkeypatch, name):
         calls = []
         real = push_module.heuristic_score
 
@@ -356,7 +399,7 @@ class TestHeuristicScore:
             return calls[-1][1]
 
         monkeypatch.setattr(push_module, "heuristic_score", record)
-        problem, start, _, _ = build_push(load_config(os.path.join(CONFIGS, "push_circle.yaml")))
+        problem, start, _, _ = build_push(load_config(os.path.join(CONFIGS, name)))
         plan, result, _ = plan_push(problem, start)
         assert result.success
         assert len(calls) == sum(isinstance(a, PushAngle) for a in plan) > 100
