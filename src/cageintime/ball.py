@@ -164,6 +164,13 @@ def _axis(half_width: float, N: int) -> np.ndarray:
     return axis
 
 
+def _check_dims(n: int, N: int) -> None:
+    if n not in (1, 2):
+        raise ValueError("n must be 1 or 2")
+    if N < 3 or N % 2 == 0:
+        raise ValueError("N must be odd and at least 3")
+
+
 class ProbGrid:
     """Probability over the 2n-dimensional (position, velocity) box: the
     product of one (x, v) belief per tilt axis, each on its support. cells
@@ -174,10 +181,7 @@ class ProbGrid:
 
     def __init__(self, n: int, N: int, x_max: float, v_max: float,
                  cells: np.ndarray, p: np.ndarray, bounds=None):
-        if n not in (1, 2):
-            raise ValueError("n must be 1 or 2")
-        if N < 3 or N % 2 == 0:
-            raise ValueError("N must be odd and at least 3")
+        _check_dims(n, N)
         cells = np.asarray(cells)
         p = np.asarray(p, dtype=float)
         if cells.ndim != 2 or cells.shape[1] != 2 or cells.dtype.kind not in "iu":
@@ -235,14 +239,22 @@ class ProbGrid:
     @classmethod
     def box(cls, n: int, N: int, x_max: float, v_max: float,
             x_lo, x_hi, v_lo, v_hi) -> "ProbGrid":
-        """Uniform mass over the cells inside the given ranges, one per axis or one for all."""
+        """Uniform mass over the cells inside the given ranges, one per axis or
+        one for all. A range that holds no cell is a ValueError."""
+        _check_dims(n, N)
         x_lo, x_hi, v_lo, v_hi = (np.broadcast_to(np.atleast_1d(np.asarray(r, float)), (n,))
                                   for r in (x_lo, x_hi, v_lo, v_hi))
-        ax, av = _axis(x_max, N), _axis(v_max, N)
         cells = []
         for d in range(n):
-            xi = np.flatnonzero((ax >= x_lo[d] - 1e-12) & (ax <= x_hi[d] + 1e-12))
-            vi = np.flatnonzero((av >= v_lo[d] - 1e-12) & (av <= v_hi[d] + 1e-12))
+            runs = []
+            for name, top, lo, hi in (("position", x_max, x_lo[d], x_hi[d]),
+                                      ("velocity", v_max, v_lo[d], v_hi[d])):
+                axis = _axis(top, N)
+                runs.append(np.flatnonzero((axis >= lo - 1e-12) & (axis <= hi + 1e-12)))
+                if runs[-1].size == 0:
+                    raise ValueError(f"axis {d}: the {name} range [{lo:g}, {hi:g}] holds no "
+                                     f"cell; the cells lie {2.0 * top / (N - 1):g} apart")
+            xi, vi = runs
             cells.append(np.column_stack([xi.repeat(len(vi)), np.tile(vi, len(xi))]))
         return cls(n, N, x_max, v_max, np.concatenate(cells), np.ones(sum(map(len, cells))),
                    np.cumsum([0] + [len(c) for c in cells]))

@@ -312,46 +312,29 @@ def compute_poa(pss: PSSGrid, r: float) -> PSSGrid:
 
 
 @functools.lru_cache(maxsize=None)
-def _candidate_angles(K: int) -> tuple[np.ndarray, np.ndarray]:
-    """The candidate indices k = 1..K and angles theta_k = 2 pi k / K of
-    ``find_push``. Read-only, shared by every step with K angles."""
-    ks = np.arange(1, K + 1)
-    thetas = 2.0 * math.pi * ks / K
-    for arr in (ks, thetas):
+def _candidate_angles(K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The K-gon of ``find_push`` and ``heuristic_score``: the angles
+    theta_k = 2 pi k / K, with candidate k at index k - 1, and their outward
+    normals (cos, sin) from ``math.cos`` and ``math.sin``, as the one-angle
+    scorer took them. Read-only, shared by every step with K angles."""
+    thetas = 2.0 * math.pi * np.arange(1, K + 1) / K
+    nx = np.array([math.cos(th) for th in thetas.tolist()])
+    ny = np.array([math.sin(th) for th in thetas.tolist()])
+    for arr in (thetas, nx, ny):
         arr.setflags(write=False)
-    return ks, thetas
-
-
-@functools.lru_cache(maxsize=64)
-def _normals(key: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The outward normals (cos, sin) of the angles packed in ``key`` (a
-    float64 array's bytes), from ``math.cos`` and ``math.sin`` as the
-    one-angle scorer took them; the normals' own angles atan2(sin, cos),
-    sorted, in three copies a turn apart; and the index of the angle at each
-    place of those copies. Read-only, shared by every step that scores the
-    same angles."""
-    thetas = np.frombuffer(key).tolist()
-    nx = np.array([math.cos(th) for th in thetas])
-    ny = np.array([math.sin(th) for th in thetas])
-    ang = np.arctan2(ny, nx)
-    order = np.argsort(ang, kind="stable")
-    turn = 2.0 * math.pi
-    table = (nx, ny, np.concatenate([ang[order] - turn, ang[order], ang[order] + turn]),
-             np.tile(order, 3))
-    for arr in table:
-        arr.setflags(write=False)
-    return table
+    return thetas, nx, ny
 
 
 def heuristic_score(
     poa: PSSGrid,
-    thetas: np.ndarray,
+    K: int,
     cage_next: CageCircle,
     lambda1: float,
     lambda2: float,
     R: float,
 ) -> np.ndarray:
-    """Outlier scores of the candidate angles ``thetas``, shape (K,).
+    """Outlier scores of the K candidate angles theta_k = 2 pi k / K, shape
+    (K,), candidate k at index k - 1.
 
     The candidate pusher line is tangent to the circle of radius R around
     the cage center at angle theta_k, with outward normal (cos, sin) of
@@ -360,8 +343,7 @@ def heuristic_score(
     cell past it. Both are normalized (by cage area and cage radius) before
     weighting; an angle with no POA cell beyond its line scores 0.
     """
-    nx, ny, turns, index = _normals(np.asarray(thetas, dtype=float).tobytes())
-    K = nx.size
+    _, nx, ny = _candidate_angles(K)
     x, y = poa.world(*cell_indices(poa.cells))
     # a cell past a line tangent to the circle of radius R lies outside that
     # circle: project only the ring of cells at least R - 1e-6 from its
@@ -383,15 +365,17 @@ def heuristic_score(
     cos_w = np.divide(R - 1e-6, dist, out=np.full_like(dist, -1.0), where=dist > 0)
     half = np.arccos(np.clip(cos_w, -1.0, 1.0)) + 1e-9
     phi = np.arctan2(dy, dx)
-    # each window is a run of ``turns``, the sorted normal angles a turn
-    # apart; K places in a row hold every angle once, so a window as wide as
+    # the window holds the angles j * step for the integers j from
+    # ceil((phi - half) / step) to floor((phi + half) / step), candidate
+    # j mod K; K of them hold every candidate once, so a window as wide as
     # the circle stops there
-    first = np.searchsorted(turns, phi - half, side="left")
-    counts = np.minimum(np.searchsorted(turns, phi + half, side="right") - first, K)
+    step = 2.0 * math.pi / K
+    first = np.ceil((phi - half) / step).astype(np.int64)
+    counts = np.minimum(np.floor((phi + half) / step).astype(np.int64) - first + 1, K)
     # the (cell, angle) pairs of every window, laid end to end
     ends = np.cumsum(counts)
     total = int(ends[-1]) if ends.size else 0
-    a = index[np.arange(total) + np.repeat(first - (ends - counts), counts)]
+    a = (np.arange(total) + np.repeat(first - 1 - (ends - counts), counts)) % K
     px, py = cx + R * nx, cy + R * ny
     s = (np.repeat(x, counts) - px[a]) * nx[a] + (np.repeat(y, counts) - py[a]) * ny[a]
     out = s > 1e-9
@@ -431,20 +415,21 @@ def find_push(
     if contains_geometric(pss, cage_next):
         return None
     poa = compute_poa(pss, problem.object_radius)
-    ks, thetas = _candidate_angles(problem.K)
     # score against a line tangent to the triggering cage: a cell that just
     # violated containment must register as sticking out for some angle
     score_R = cage_next.radius + problem.object_radius
-    scores = heuristic_score(poa, thetas, cage_next, problem.lambda1, problem.lambda2, score_R)
-    order = np.lexsort((ks, -scores))  # descending score, then lowest k
-    top = order[: min(problem.shortlist, problem.K)]
+    scores = heuristic_score(poa, problem.K, cage_next, problem.lambda1, problem.lambda2,
+                             score_R)
+    # descending score, then lowest index: candidate k is index k - 1
+    top = np.argsort(-scores, kind="stable")[: problem.shortlist]
+    thetas = _candidate_angles(problem.K)[0]
     if prev_action is None:
         best = top[0]
     else:
         dists = np.array([_angular_distance(thetas[i], prev_action) for i in top])
-        best = top[int(np.lexsort((ks[top], dists))[0])]
+        best = top[int(np.lexsort((top, dists))[0])]
     theta = float(thetas[best] % (2.0 * math.pi))
-    return PushAngle(theta=theta, k=int(ks[best]))
+    return PushAngle(theta=theta, k=int(best) + 1)
 
 
 def max_spacing(problem: PushProblem) -> float:

@@ -57,7 +57,8 @@ def resample_polyline(points: np.ndarray, spacing: float) -> np.ndarray:
 
 
 def smooth_path(points: np.ndarray, window: int, passes: int = 1) -> np.ndarray:
-    """Round polyline corners with repeated centered moving averages.
+    """Round polyline corners with repeated centered moving averages over an
+    odd window of points.
 
     Endpoints are held by edge-padding, so the path still starts and ends at
     the original points. Corner rounding bounds the acceleration spikes a
@@ -67,7 +68,7 @@ def smooth_path(points: np.ndarray, window: int, passes: int = 1) -> np.ndarray:
     if window < 1 or passes < 1:
         raise BadSpec("smooth_path needs window >= 1 and passes >= 1")
     if window % 2 == 0:
-        window += 1
+        raise BadSpec(f"smooth_window must be odd to center the average, got {window}")
     if pts.shape[0] < 3 or window == 1:
         return pts.copy()
     kernel = np.ones(window) / window

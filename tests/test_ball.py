@@ -350,8 +350,12 @@ class TestProbGrid:
             dense = D.grid(n, N, 0.08, 1.0, ref)
             assert np.array_equal(g.cells, dense.cells)
             assert np.array_equal(g.bounds, dense.bounds)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"axis 0: the position range \[0.01, -0.01\] "
+                                             r"holds no cell; the cells lie 0.00\d+ apart"):
             B.ProbGrid.box(n, N, 0.08, 1.0, 0.01, -0.01, 0.0, 0.1)
+        with pytest.raises(ValueError, match=r"axis \d: the velocity range \[0.81, 0.81\] "
+                                             r"holds no cell; the cells lie 0.0\d+ apart"):
+            B.ProbGrid.box(n, N, 0.08, 1.0, -0.01, 0.01, 0.81, 0.81)
 
 
 class TestEntropy:

@@ -97,3 +97,24 @@ def test_traced_round_runs_with_the_observers(workload):
     names = {span[0] for span in tracer.spans}
     assert {"ball.dynamic_control", "ball.verify_ball_plan", "ball.lie_derivatives",
             "ball.propagate_prob", "qp.solve", "oracle.rollout_ball"} <= names
+
+
+def test_traced_push_round_runs_with_the_observers():
+    """One traced round of ``push_circle``, as ``--trace 1`` runs it: its
+    outputs those of the reference, one push observation per planner step,
+    one set size per planner and replay step, one scoring span per push."""
+    tasks, spans = load("tasks"), load("spans")
+    reference = tasks.load_reference()
+    tracer = spans.Tracer()
+    (task,) = tasks.build("push_circle")
+    tracer.task = f"round0:{task.name}"
+    with spans.traced(tracer, tasks.MODULES), tracer.span(spans.ROOT):
+        out = tasks.run_task(task, tasks.REFERENCE_SEED)
+    assert tasks.deviations(out, reference[task.name], tasks.REFERENCE_SEED) == []
+    steps = len(reference[task.name]["plan"])
+    pushes = tracer.notes["push.pushes"]
+    assert (steps, sum(pushes)) == (119, 118)
+    assert len(pushes) == steps
+    assert len(tracer.notes["push.pss_cells"]) == 2 * steps
+    names = [span[0] for span in tracer.spans]
+    assert names.count("push.heuristic_score") == sum(pushes)

@@ -174,6 +174,33 @@ class TestConfigValidation:
         assert capsys.readouterr().err.startswith("error: horizon_s must be finite, got inf")
         assert not out.exists()
 
+    def test_even_smooth_window_rejected(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        with open(os.path.join(CONFIGS, "ball_rice.yaml")) as fh:
+            doc = yaml.safe_load(fh)
+        doc["trajectory"].update(file=os.path.abspath(os.path.join(CONFIGS, "rice.csv")),
+                                 smooth_window=10)
+        doc["out"] = str(out)
+        path = write_config(tmp_path, "c.yaml", doc)
+        assert cli.main(["ball", "--config", path]) == 1
+        assert capsys.readouterr().err.startswith("error: smooth_window must be odd")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dv0, N, message", [
+        (0.0, 81, "error: axis 0: the velocity range [0.81, 0.81] holds no cell; "
+                  "the cells lie 0.025 apart"),
+        (0.05, 3, "error: axis 0: the position range [-0.079, -0.071] holds no cell; "
+                  "the cells lie 0.15 apart"),
+    ])
+    def test_empty_initial_belief_rejected(self, tmp_path, capsys, dv0, N, message):
+        out = tmp_path / "out"
+        doc = ball_doc(str(out), mode="catch", trajectory={"kind": "retreat"},
+                       v0_m_s=0.81, dv0_m_s=dv0, N=N, half_length_m=0.15)
+        path = write_config(tmp_path, "c.yaml", doc)
+        assert cli.main(["ball", "--config", path]) == 1
+        assert capsys.readouterr().err.startswith(message)
+        assert not out.exists()
+
     @pytest.mark.parametrize("fields, message", [
         ({"mode": "catchh"}, "error: mode must be 'balance' or 'catch', got 'catchh'"),
         ({"mode": "catch", "n": 2}, "error: a catch runs on the line: n must be 1, got 2"),

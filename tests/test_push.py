@@ -281,9 +281,9 @@ class TestHeuristicScore:
     so every plan stays the same."""
 
     @staticmethod
-    def _both(poa, thetas, cage, R, lambda1=1.0, lambda2=1.0):
-        batch = push_module.heuristic_score(poa, thetas, cage, lambda1, lambda2, R)
-        return batch, scalar_score.scores(poa, thetas, cage, lambda1, lambda2, R)
+    def _both(poa, K, cage, R, lambda1=1.0, lambda2=1.0):
+        batch = push_module.heuristic_score(poa, K, cage, lambda1, lambda2, R)
+        return batch, scalar_score.scores(poa, angles(K), cage, lambda1, lambda2, R)
 
     @pytest.mark.parametrize("K", [3, 16, 17, 32, 128])
     def test_matches_scalar_on_random_poas(self, K):
@@ -291,15 +291,14 @@ class TestHeuristicScore:
         for _ in range(4):
             cells = rng.random((61, 61)) < 0.02
             # Python floats, as find_push passes them
-            rho, r, dx, dy, radius, dR, l1, l2, cx, cy, th = (
-                rng.uniform(0.0, 1.0, 11) * [1, 6, 6, 6, 10, 10, 2, 2, 100, 100, 2 * math.pi]
-                + [0.5, 2, -3, -3, 5, 0, 0.1, 0.1, -50, -50, 0]
+            rho, r, dx, dy, radius, dR, l1, l2, cx, cy = (
+                rng.uniform(0.0, 1.0, 10) * [1, 6, 6, 6, 10, 10, 2, 2, 100, 100]
+                + [0.5, 2, -3, -3, 5, 0, 0.1, 0.1, -50, -50]
             ).tolist()
             g = PSSGrid(cells, rho, Vec2(cx, cy))
             poa = compute_poa(g, r)
             cage = CageCircle(g.frame_center + Vec2(dx, dy), radius)
-            thetas = np.append(angles(K)[: K - 1], th)  # and one off-grid angle
-            batch, scalar = self._both(poa, thetas, cage, radius + dR, l1, l2)
+            batch, scalar = self._both(poa, K, cage, radius + dR, l1, l2)
             assert batch.shape == (K,)
             assert (batch > 0).any()
             assert np.array_equal(batch, scalar)
@@ -308,7 +307,7 @@ class TestHeuristicScore:
         cells = np.zeros((21, 21), dtype=bool)
         cells[3, 17] = True
         poa = PSSGrid(cells, 1.0, Vec2(0.0, 0.0))
-        batch, scalar = self._both(poa, angles(17), CageCircle(Vec2(0.0, 0.0), 4.0), 6.0)
+        batch, scalar = self._both(poa, 17, CageCircle(Vec2(0.0, 0.0), 4.0), 6.0)
         assert np.count_nonzero(batch) > 0
         assert np.array_equal(batch, scalar)
 
@@ -316,12 +315,11 @@ class TestHeuristicScore:
         # one cell 8 mm right of the cage center: only the lines tangent at
         # 5 mm on the right side have it beyond them
         g = PSSGrid.from_points(np.array([[8.0, 0.0]]), 1.0, Vec2(0.0, 0.0), (21, 21))
-        thetas = angles(16)
-        batch, scalar = self._both(g, thetas, CageCircle(Vec2(0.0, 0.0), 4.0), 5.0)
+        batch, scalar = self._both(g, 16, CageCircle(Vec2(0.0, 0.0), 4.0), 5.0)
         assert batch[7] == 0.0 and batch[15] > 0.0  # theta = pi and 2 pi
         assert np.array_equal(batch, scalar)
         empty = PSSGrid(np.zeros((21, 21), dtype=bool), 1.0, Vec2(0.0, 0.0))
-        batch, scalar = self._both(empty, thetas, CageCircle(Vec2(0.0, 0.0), 4.0), 5.0)
+        batch, scalar = self._both(empty, 16, CageCircle(Vec2(0.0, 0.0), 4.0), 5.0)
         assert np.array_equal(batch, np.zeros(16)) and np.array_equal(batch, scalar)
 
     @pytest.mark.parametrize("origin", [0.0, 1e5])
@@ -342,7 +340,7 @@ class TestHeuristicScore:
             cells[95, 50] = True
             center, k = Vec2(origin, origin - delta), 4
         poa = PSSGrid(cells, 1.0, frame)
-        batch, scalar = self._both(poa, angles(16), CageCircle(center, 5.0), R)
+        batch, scalar = self._both(poa, 16, CageCircle(center, 5.0), R)
         assert np.array_equal(batch, scalar)
         # the cell is past the tangent line exactly when it lies outside the circle
         assert (batch[k - 1] > 0.0) == (delta > 0.0)
@@ -356,25 +354,11 @@ class TestHeuristicScore:
         poa = PSSGrid(cells, 1.0, Vec2(0.0, 0.0))
         cage = CageCircle(Vec2(0.0, 0.0), 4.0)
         for lambda1, lambda2 in [(1.0, 1.0), (1.0, 0.0)]:
-            batch, scalar = self._both(poa, angles(16), cage, R, lambda1, lambda2)
+            batch, scalar = self._both(poa, 16, cage, R, lambda1, lambda2)
             assert np.array_equal(batch, scalar)
         if R < 0:
             # all nine cells are past every line, each counted once per angle
             assert np.array_equal(batch, np.full(16, 9.0 / (math.pi * 16.0)))
-
-    def test_unsorted_duplicated_and_unreduced_thetas(self):
-        rng = np.random.default_rng(5)
-        cells = rng.random((61, 61)) < 0.02
-        poa = compute_poa(PSSGrid(cells, 1.0, Vec2(3.0, -2.0)), 4.0)
-        cage = CageCircle(Vec2(4.5, -1.0), 7.0)
-        two_pi = 2.0 * math.pi
-        # theta_K = 2 pi exactly, as find_push passes it, and its equal 0
-        thetas = np.array([two_pi, 0.0, 3.0, -1.0, 3.0, two_pi + 1.0, -two_pi,
-                           1.0, 5.0 * two_pi + 0.25, -7.5, 0.25, math.pi, -math.pi])
-        batch, scalar = self._both(poa, thetas, cage, 9.0)
-        assert np.array_equal(batch, scalar)
-        assert (batch > 0).sum() >= 6
-        assert batch[2] == batch[4]
 
     @pytest.mark.parametrize("origin", [0.0, 1e5])
     def test_cell_bearing_on_a_candidate_angle(self, origin):
@@ -385,7 +369,7 @@ class TestHeuristicScore:
         for i, j in [(60, 110), (110, 60), (60, 10), (10, 60), (100, 100), (20, 20)]:
             cells[i, j] = True
         poa = PSSGrid(cells, 1.0, Vec2(origin, origin))
-        batch, scalar = self._both(poa, angles(8), CageCircle(Vec2(origin, origin), 5.0), 45.0)
+        batch, scalar = self._both(poa, 8, CageCircle(Vec2(origin, origin), 5.0), 45.0)
         assert np.array_equal(batch, scalar)
         assert list(np.flatnonzero(batch) + 1) == [1, 2, 4, 5, 6, 8]
 
@@ -405,7 +389,8 @@ class TestHeuristicScore:
         assert len(calls) == sum(isinstance(a, PushAngle) for a in plan) > 100
         for args, batch in calls:
             assert batch.shape == (problem.K,)
-            assert np.array_equal(batch, scalar_score.scores(*args))
+            poa, K, *rest = args
+            assert np.array_equal(batch, scalar_score.scores(poa, angles(K), *rest))
 
 
 class TestFindPushTieBreaks:
@@ -420,7 +405,7 @@ class TestFindPushTieBreaks:
                                 Vec2(0.0, 0.0), (prob.grid_size,) * 2)
         cage = CageCircle(Vec2(0.0, 0.0), 10.0)
         poa = compute_poa(g, prob.object_radius)
-        scores = push_module.heuristic_score(poa, angles(16), cage, prob.lambda1,
+        scores = push_module.heuristic_score(poa, 16, cage, prob.lambda1,
                                              prob.lambda2, cage.radius + prob.object_radius)
         top = np.flatnonzero(scores == scores.max()) + 1
         assert list(top) == [8, 16]

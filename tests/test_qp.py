@@ -197,6 +197,15 @@ def _degenerate_instance(rng: np.random.Generator) -> CbfClfQP:
                     lam=float(10.0 ** rng.uniform(-2.0, 3.0)), lo=lo, hi=hi)
 
 
+def _refuse_linalg(monkeypatch) -> None:
+    """Make numpy.linalg's solve, lstsq and inv fail the test when called."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("qp.solve called numpy.linalg")
+
+    for name in ("solve", "lstsq", "inv"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+
+
 def _assert_close(qp: CbfClfQP) -> QPSolution:
     tol = 1e-12
     got, ref = solve(qp), enum_qp.solve(qp)
@@ -216,15 +225,19 @@ class TestAgainstEnumeration:
         for _ in range(20_000):
             _assert_close(random_instance(rng))
 
-    def test_degenerate_instances(self):
+    def test_degenerate_instances(self, monkeypatch):
         # the enumeration accepts any point within the 1e-9 feasibility
         # tolerance, so where a row is nearly parallel to a face or a box is
-        # tiny it can win by breaking a row; the closed form meets the rows
+        # tiny it can win by breaking a row; the closed form meets the rows,
+        # and solves no linear system
         rng = np.random.default_rng(2025)
         outcomes = {"infeasible": 0, "zero": 0, "active": 0}
         for _ in range(20_000):
             qp = _degenerate_instance(rng)
-            got, ref = solve(qp), enum_qp.solve(qp)
+            with monkeypatch.context() as m:
+                _refuse_linalg(m)
+                got = solve(qp)
+            ref = enum_qp.solve(qp)
             assert got.feasible == ref.feasible
             key = "infeasible" if not got.feasible else "zero" if not got.active else "active"
             outcomes[key] += 1
@@ -280,14 +293,9 @@ class TestClosedForm:
         assert {tuple(v) for v in V} == {(0.0, 0.0), (0.0, 1.0)}
 
     def test_solves_without_linear_algebra(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("qp.solve called numpy.linalg")
-
-        for name in ("solve", "lstsq", "inv"):
-            monkeypatch.setattr(np.linalg, name, refuse)
-        rng = np.random.default_rng(2025)
-        for _ in range(20_000):
-            solve(_degenerate_instance(rng))
+        # the degenerate instances solve under the same refusal in
+        # TestAgainstEnumeration.test_degenerate_instances
+        _refuse_linalg(monkeypatch)
         setup = B.catching_setup(0.8, 0.05)
         *_, log = B.dynamic_control(
             setup.grid, setup.trajectory(3.0), setup.ball, setup.unc, setup.model,

@@ -88,3 +88,7 @@ class TestSmoothPath:
 
     def test_window_one_identity(self):
         assert np.array_equal(smooth_path(RICE, 1), RICE)
+
+    def test_even_window_rejected(self):
+        with pytest.raises(BadSpec, match="smooth_window must be odd .*got 10"):
+            smooth_path(RICE, 10)
